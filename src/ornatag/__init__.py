@@ -3,152 +3,31 @@
 A linear-chain CRF produces a per-position prediction matrix; a small
 logic-rule language produces a multiplicative weight matrix over the
 same grid; the two are fused cell by cell and decoded per column.
+
+The package root exports the names the README's Library section uses;
+everything else is imported from its module (``ornatag.metrics``,
+``ornatag.synth``, ...).
 """
 
 __version__ = "0.1.0"
 
-from .combine import CombinedMatrix, TagResult, combine, decode, tag_with_knowledge
-from .errors import (
-    CorruptModel,
-    EmptyCorpus,
-    InputError,
-    InvalidDuration,
-    InvalidOctave,
-    InvalidStep,
-    LengthMismatch,
-    MalformedToken,
-    NonpositiveWeight,
-    OrnatagError,
-    RuleSyntaxError,
-    ShapeMismatch,
-    UnknownFeature,
-    UnknownTag,
-    VersionMismatch,
-)
-from .metrics import (
-    Metrics,
-    TagScore,
-    evaluate,
-    format_metrics,
-    rule_firing_counts,
-    rule_satisfaction,
-    with_rule_satisfaction,
-)
-from .model_io import load_model, parse_model, save_model, serialize_model
-from .rules import (
-    Firing,
-    ObsClause,
-    Rule,
-    RuleSet,
-    StateClause,
-    WeightMatrix,
-    build_weight_matrix,
-    collect_firings,
-    evaluate_antecedent,
-    parse_rules,
-    serialize_rules,
-)
-from .score import (
-    Melody,
-    Note,
-    StateSequence,
-    TaggedCorpus,
-    TagSet,
-    midi_number,
-    parse_corpus,
-    parse_legacy_note,
-    parse_melody,
-    parse_note,
-    parse_tagset,
-    serialize_corpus,
-    serialize_melody,
-    serialize_note,
-    serialize_tagset,
-)
-from .synth import SynthProfile, generate_synthetic, parse_profile, split
-from .tagger import (
-    FeatureVectorizer,
-    PredictionMatrix,
-    TaggerModel,
-    TrainConfig,
-    TrainingMeta,
-    extract_features,
-    nll_and_gradient,
-    posterior_marginals,
-    train,
-    viterbi_decode,
-)
+from .combine import TagResult, tag_with_knowledge
+from .errors import InputError, OrnatagError
+from .rules import parse_rules
+from .score import Melody, TagSet, parse_corpus, parse_note
+from .tagger import TrainConfig, train
 
 __all__ = [
     "__version__",
-    "CombinedMatrix",
-    "CorruptModel",
-    "EmptyCorpus",
-    "FeatureVectorizer",
-    "Firing",
     "InputError",
-    "InvalidDuration",
-    "InvalidOctave",
-    "InvalidStep",
-    "LengthMismatch",
-    "MalformedToken",
     "Melody",
-    "Metrics",
-    "NonpositiveWeight",
-    "Note",
-    "ObsClause",
     "OrnatagError",
-    "PredictionMatrix",
-    "Rule",
-    "RuleSet",
-    "RuleSyntaxError",
-    "ShapeMismatch",
-    "StateClause",
-    "StateSequence",
-    "SynthProfile",
     "TagResult",
-    "TagScore",
     "TagSet",
-    "TaggedCorpus",
-    "TaggerModel",
     "TrainConfig",
-    "TrainingMeta",
-    "UnknownFeature",
-    "UnknownTag",
-    "VersionMismatch",
-    "WeightMatrix",
-    "build_weight_matrix",
-    "collect_firings",
-    "combine",
-    "decode",
-    "evaluate",
-    "evaluate_antecedent",
-    "extract_features",
-    "format_metrics",
-    "generate_synthetic",
-    "load_model",
-    "midi_number",
-    "nll_and_gradient",
     "parse_corpus",
-    "parse_legacy_note",
-    "parse_melody",
-    "parse_model",
     "parse_note",
-    "parse_profile",
     "parse_rules",
-    "parse_tagset",
-    "posterior_marginals",
-    "rule_firing_counts",
-    "rule_satisfaction",
-    "save_model",
-    "serialize_corpus",
-    "serialize_melody",
-    "serialize_model",
-    "serialize_note",
-    "serialize_rules",
-    "serialize_tagset",
-    "split",
     "tag_with_knowledge",
     "train",
-    "viterbi_decode",
 ]

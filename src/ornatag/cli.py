@@ -16,12 +16,7 @@ from pathlib import Path
 from . import __version__
 from .combine import tag_with_knowledge
 from .errors import InputError, OrnatagError
-from .metrics import (
-    evaluate,
-    format_metrics,
-    rule_firing_counts,
-    with_rule_satisfaction,
-)
+from .metrics import count_satisfied, evaluate, format_metrics
 from .model_io import MAGIC, load_model, save_model
 from .rules import RuleSet, parse_rules
 from .score import (
@@ -180,15 +175,13 @@ def cmd_eval(args) -> int:
     for melody, _ in corpus:
         result = tag_with_knowledge(model, ruleset, melody)
         predictions.append(result.final)
-        if args.rules:
-            hits, firings = rule_firing_counts(
-                result.final, melody, ruleset, result.base)
-            matched += hits
-            total += firings
+        hits, firings = count_satisfied(result.final, result.firing_log)
+        matched += hits
+        total += firings
     metrics = evaluate(predictions, corpus)
     if args.rules:
-        metrics = with_rule_satisfaction(
-            metrics, matched / total if total else 1.0)
+        metrics = replace(
+            metrics, rule_satisfaction=matched / total if total else 1.0)
     sys.stdout.write(format_metrics(metrics, model.tagset))
     return 0
 

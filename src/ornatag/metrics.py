@@ -1,21 +1,22 @@
 """Tagging quality metrics and their stable text rendering.
 
 Token accuracy, per-tag precision/recall/F1, macro-F1 over tags with
-gold support, a confusion matrix, and the rule satisfaction rate (the
-fraction of rule firings whose predicted tag matches the consequent).
+gold support, a confusion matrix, and the per-melody counts behind the
+rule satisfaction rate (rule firings whose predicted tag matches the
+consequent, out of all firings).
 The JSON rendering has a fixed key order and 6-decimal reals so runs
 are byte-comparable; the schema is documented in docs/metrics.md.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import LengthMismatch
-from .rules import RuleSet, collect_firings
+from .rules import Firing, RuleSet, collect_firings
 from .score import Melody, StateSequence, TaggedCorpus, TagSet
 
 
@@ -72,23 +73,17 @@ def evaluate(pred: Sequence[StateSequence], gold: TaggedCorpus) -> Metrics:
                    macro_f1=macro_f1, counts=counts)
 
 
-def rule_firing_counts(pred: StateSequence, melody: Melody, rules: RuleSet,
-                       base: StateSequence) -> tuple[int, int]:
-    """(firings satisfied by pred, total firings) for one melody."""
-    firings = collect_firings(rules, melody, base)
+def count_satisfied(pred: StateSequence,
+                    firings: Sequence[Firing]) -> tuple[int, int]:
+    """(firings whose target got the consequent tag in pred, total firings)."""
     matched = sum(1 for f in firings if pred[f.target] == f.tag_index)
     return matched, len(firings)
 
 
-def rule_satisfaction(pred: StateSequence, melody: Melody, rules: RuleSet,
-                      base: StateSequence) -> float:
-    """Fraction of firings whose target got the consequent tag; 1.0 if none."""
-    matched, total = rule_firing_counts(pred, melody, rules, base)
-    return matched / total if total else 1.0
-
-
-def with_rule_satisfaction(metrics: Metrics, value: float) -> Metrics:
-    return replace(metrics, rule_satisfaction=value)
+def rule_firing_counts(pred: StateSequence, melody: Melody, rules: RuleSet,
+                       base: StateSequence) -> tuple[int, int]:
+    """:func:`count_satisfied` over the firings of ``rules`` on one melody."""
+    return count_satisfied(pred, collect_firings(rules, melody, base))
 
 
 def format_metrics(metrics: Metrics, tagset: TagSet) -> str:

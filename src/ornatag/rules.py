@@ -26,6 +26,7 @@ rule order never changes the result.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -325,19 +326,30 @@ class _LineParser:
 
     def parse_weight(self) -> float:
         token = self.expect("NUMBER", expected="a positive number")
-        value = _number_to_float(token.text)
-        if value <= 0:
-            raise NonpositiveWeight(
-                f"weight must be positive: {token.text}",
-                token=token.text, line=self.lineno, column=token.column)
-        return value
+        return _positive_float(token, self.lineno, "weight")
 
 
-def _number_to_float(text: str) -> float:
-    if "/" in text:
-        num, den = text.split("/")
-        return int(num) / int(den)
-    return float(text)
+def _positive_float(token: _Token, lineno: int, what: str) -> float:
+    """Value of a weight or confidence token: finite and above zero."""
+    text = token.text
+    num, _, den = text.partition("/")
+    if den and not den.strip("0"):
+        raise RuleSyntaxError(
+            f"zero denominator in {what}: {text}", token=text,
+            line=lineno, column=token.column, expected="a nonzero denominator")
+    try:
+        value = int(num) / int(den) if den else float(text)
+    except (OverflowError, ValueError):  # past float range or int's digit limit
+        value = math.inf
+    if not math.isfinite(value):
+        raise RuleSyntaxError(
+            f"{what} is out of range: {text}", token=text,
+            line=lineno, column=token.column, expected="a finite number")
+    if value <= 0:
+        raise NonpositiveWeight(
+            f"{what} must be positive: {text}", token=text,
+            line=lineno, column=token.column)
+    return value
 
 
 def parse_rules(text: str, tagset: TagSet) -> RuleSet:
@@ -363,11 +375,7 @@ def parse_rules(text: str, tagset: TagSet) -> RuleSet:
                     f"malformed {head.text} directive",
                     line=lineno, column=head.column + len(head.text),
                     expected=f"{head.text} <positive number>")
-            value = _number_to_float(tokens[1].text)
-            if value <= 0:
-                raise NonpositiveWeight(
-                    f"{head.text} must be positive: {tokens[1].text}",
-                    token=tokens[1].text, line=lineno, column=tokens[1].column)
+            value = _positive_float(tokens[1], lineno, head.text)
             if head.text == "H1":
                 h1 = value
             else:
@@ -449,7 +457,7 @@ def collect_firings(ruleset: RuleSet, melody: Melody,
 
     Rules are visited in source order, anchors left to right; this is
     the sole definition of "the rule fired", shared by weight-matrix
-    construction and rule-satisfaction metrics.
+    construction, rule-satisfaction counts and planted-rule synthesis.
     """
     T = len(melody)
     firings = []

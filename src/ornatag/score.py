@@ -7,9 +7,7 @@ step/alteration/octave.  The canonical token grammar is::
     step [accidental] octave ':' duration      e.g.  C1:4   Bb3:2   C#4:3/2
 
 with accidental one of ``#``, ``##``, ``b``, ``bb``, octave a single
-digit 0-9, and duration ``int`` or ``int/int``.  A compact legacy form
-(``C14`` = step, octave digit, integer duration) is accepted by
-:func:`parse_legacy_note` for old data files.
+digit 0-9, and duration ``int`` or ``int/int``.
 
 All types are immutable after construction and safe to share across
 threads; the parsers and serializers are pure functions.
@@ -20,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import (
     EmptyCorpus,
@@ -212,7 +210,7 @@ def parse_note(token: str) -> Note:
             count = 2
         alteration = count if acc == "#" else -count
         pos += count
-    if pos >= len(token) or not token[pos].isdigit():
+    if pos >= len(token) or token[pos] not in "0123456789":
         raise InvalidOctave(
             f"expected an octave digit: {token!r}", token=token, column=pos + 1)
     octave = int(token[pos])
@@ -232,7 +230,7 @@ def parse_note(token: str) -> Note:
 
 
 def _parse_duration(token: str, pos: int) -> Fraction:
-    match = re.match(r"(\d+)(?:/(\d+))?\Z", token[pos:])
+    match = re.match(r"([0-9]+)(?:/([0-9]+))?\Z", token[pos:])
     if not match:
         raise MalformedToken(
             f"expected a duration 'int' or 'int/int': {token!r}",
@@ -246,44 +244,6 @@ def _parse_duration(token: str, pos: int) -> Fraction:
         raise InvalidDuration(
             f"zero duration: {token!r}", token=token, column=pos + 1)
     return Fraction(num, den)
-
-
-def parse_legacy_note(token: str) -> Note:
-    """Parse the compact legacy form: letter, octave digit, integer ql.
-
-    ``c24`` is step C, octave 2, duration 4 ql.  Alterations and
-    fractional durations are not expressible in this form.
-    """
-    if len(token) < 3:
-        raise MalformedToken(
-            f"legacy token needs at least 3 characters: {token!r}",
-            token=token, column=1)
-    if not token[0].isalpha():
-        raise MalformedToken(
-            f"expected a step letter: {token!r}", token=token, column=1)
-    step = token[0].upper()
-    if step not in _STEP_SEMITONE:
-        raise InvalidStep(
-            f"step letter outside {STEPS}: {token[0]!r}", token=token, column=1)
-    if not token[1].isdigit():
-        raise MalformedToken(
-            f"expected an octave digit: {token!r}", token=token, column=2)
-    octave = int(token[1])
-    tail = token[2:]
-    if not tail.isdigit():
-        raise MalformedToken(
-            f"expected an integer duration tail: {token!r}",
-            token=token, column=3)
-    duration = int(tail)
-    if duration == 0:
-        raise InvalidDuration(
-            f"zero duration: {token!r}", token=token, column=3)
-    midi = midi_number(step, 0, octave)
-    if not MIDI_MIN <= midi <= MIDI_MAX:
-        raise InvalidOctave(
-            f"pitch outside MIDI range [12, 127]: {token!r}",
-            token=token, column=2)
-    return Note(step, 0, octave, Fraction(duration))
 
 
 def serialize_note(note: Note) -> str:
@@ -413,7 +373,3 @@ def serialize_corpus(corpus: TaggedCorpus) -> str:
         blocks.append(lines)
     return "\n".join(blocks)
 
-
-def melody_from_tokens(tokens: Iterable[str]) -> Melody:
-    """Convenience: build a melody from canonical tokens."""
-    return Melody(tuple(parse_note(t) for t in tokens))

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .rules import RuleSet, evaluate_antecedent, parse_rules
+from .rules import RuleSet, collect_firings, parse_rules
 from .score import Melody, Note, StateSequence, TaggedCorpus, TagSet
 from .tagger import duration_bucket
 
@@ -159,13 +159,8 @@ def generate_synthetic(profile: SynthProfile, n_melodies: int,
         melody = Melody(tuple(notes))
         if profile.planted_rules is not None:
             blank = StateSequence(tuple([0] * length))
-            for rule in profile.planted_rules:
-                for t in range(length):
-                    if not evaluate_antecedent(rule, melody, blank, t):
-                        continue
-                    target = t + rule.consequent_offset
-                    if 0 <= target < length:
-                        tags[target] = rule.consequent_index
+            for f in collect_firings(profile.planted_rules, melody, blank):
+                tags[f.target] = f.tag_index
         entries.append((melody, StateSequence(tuple(tags))))
     return TaggedCorpus(tagset, tuple(entries))
 

@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import EmptyCorpus, ShapeMismatch
 from .score import Melody, StateSequence, TaggedCorpus, TagSet
@@ -222,19 +221,44 @@ def emission_matrix(model: TaggerModel, melody: Melody) -> np.ndarray:
     return E
 
 
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis``, stable for finite input.
+
+    The maximal terms are taken out of the sum and added back through
+    ``log1p``, the same sequence of operations as scipy 1.17's
+    ``logsumexp`` for real input, so results match it bit for bit
+    without its per-call dispatch cost.  A non-finite result falls back
+    to the direct formula, as there.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
+        is_max = a == a_max
+        m = np.add.reduce(is_max, axis=axis, keepdims=True, dtype=a.dtype)
+        s = np.add.reduce(np.exp(np.where(is_max, -np.inf, a) - a_max),
+                          axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.log(np.add.reduce(np.exp(a), axis=axis,
+                                          keepdims=True))
+            out = np.where(finite, out, direct)
+    return np.squeeze(out, axis=axis)
+
+
 def _forward_backward(E: np.ndarray, Tr: np.ndarray):
     """Log-space alpha/beta recursions; returns (log_alpha, log_beta, log_Z)."""
     T, H = E.shape
     log_alpha = np.empty((T, H))
     log_alpha[0] = E[0]
     for t in range(1, T):
-        log_alpha[t] = E[t] + logsumexp(
+        log_alpha[t] = E[t] + _logsumexp(
             log_alpha[t - 1][:, None] + Tr, axis=0)
     log_beta = np.zeros((T, H))
     for t in range(T - 2, -1, -1):
-        log_beta[t] = logsumexp(
+        log_beta[t] = _logsumexp(
             Tr + (E[t + 1] + log_beta[t + 1])[None, :], axis=1)
-    log_z = logsumexp(log_alpha[T - 1])
+    log_z = _logsumexp(log_alpha[T - 1], axis=0)
     return log_alpha, log_beta, log_z
 
 
@@ -269,17 +293,6 @@ def viterbi_decode(model: TaggerModel, melody: Melody) -> StateSequence:
     for t in range(1, T):
         path[t] = int(np.argmax(Tr[path[t - 1]] + suffix[t]))
     return StateSequence(tuple(int(k) for k in path))
-
-
-def path_score(model: TaggerModel, melody: Melody,
-               path: StateSequence) -> float:
-    """Left-to-right score of one path under the model."""
-    E = emission_matrix(model, melody)
-    Tr = model.transition_weights
-    total = E[0, path[0]]
-    for t in range(1, len(path)):
-        total += Tr[path[t - 1], path[t]] + E[t, path[t]]
-    return float(total)
 
 
 # -- training --------------------------------------------------------------------
@@ -359,7 +372,6 @@ class TrainConfig:
     l2: float = 0.01
     batch_size: int = 32
     seed: int = 0
-    shuffle: bool = True
     exclude_features: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
@@ -402,10 +414,7 @@ def train(corpus: TaggedCorpus, config: TrainConfig = TrainConfig(),
     rng = np.random.default_rng(config.seed)
     n_entries = len(corpus.entries)
     for epoch in range(config.epochs):
-        if config.shuffle:
-            order = rng.permutation(n_entries)
-        else:
-            order = np.arange(n_entries)
+        order = rng.permutation(n_entries)
         epoch_loss = 0.5 * config.l2 * (
             np.sum(model.emission_weights ** 2)
             + np.sum(model.transition_weights ** 2))

@@ -12,8 +12,20 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import logsumexp
 
-from ornatag.score import Melody, Note, StateSequence, TaggedCorpus, TagSet
+from ornatag.score import (
+    Melody,
+    Note,
+    StateSequence,
+    TaggedCorpus,
+    TagSet,
+    parse_note,
+)
 from ornatag.tagger import FeatureVectorizer, TaggerModel, TrainingMeta
+
+
+def melody_from_tokens(tokens):
+    """Melody from canonical note tokens such as ``["C4:1", "D4:2"]``."""
+    return Melody(tuple(parse_note(t) for t in tokens))
 
 
 def score_path(E, Tr, path):

@@ -342,6 +342,17 @@ class TestTag:
         assert code == 2
         assert "line 1" in err
 
+    def test_non_ascii_octave_digit_exits_2(self, workdir, tmp_path, capsys):
+        """A superscript octave digit is bad input, not an internal error."""
+        melody_path = tmp_path / "tune.melody"
+        melody_path.write_text("C\u00b2:1\n", encoding="utf-8")
+        code, _, err = run_cli([
+            "tag", "--model", str(workdir / "model.txt"),
+            "--melody", str(melody_path), "--out", str(tmp_path / "t.txt"),
+        ], capsys)
+        assert code == 2
+        assert "octave" in err and "line 1" in err
+
 
 def perfect_model(tmp_path):
     """A model whose argmax tagging is exact on bucket-determined tags.
@@ -404,6 +415,19 @@ class TestEval:
         assert code == 0
         payload = json.loads(out)
         assert payload["rule_satisfaction"] == 1.0
+
+    def test_rules_that_never_fire_are_vacuously_satisfied(self, tmp_path,
+                                                            capsys):
+        """No firing anywhere in the corpus reports a rate of 1.0."""
+        model_path, corpus_path = perfect_model(tmp_path)
+        rules_path = tmp_path / "never.rules"
+        rules_path.write_text("IF duration(@t) > 100 THEN tag(@t) = long\n")
+        code, out, _ = run_cli([
+            "eval", "--model", str(model_path),
+            "--corpus", str(corpus_path), "--rules", str(rules_path),
+        ], capsys)
+        assert code == 0
+        assert json.loads(out)["rule_satisfaction"] == 1.0
 
     def test_stdout_is_exactly_the_json(self, tmp_path, capsys):
         """stdout carries the metrics object and nothing else."""
@@ -519,4 +543,25 @@ class TestRulesCheck:
             "rules-check", str(rules_path), "--tagset", str(tagset_path),
         ], capsys)
         assert code == 2
+        assert "line 1" in err
+
+    @pytest.mark.parametrize("text", [
+        "IF duration(@t) > 3 THEN tag(@t) = trills WEIGHT 1/0\n",
+        "IF duration(@t) > 3 THEN tag(@t) = trills WEIGHT 1e400\n",
+        "H1 1/0\nIF duration(@t) > 3 THEN tag(@t) = trills\n",
+        "H1 1e400\nIF duration(@t) > 3 THEN tag(@t) = trills\n",
+        "H2 1/0\nIF duration(@t) > 3 THEN tag(@t) = trills\n",
+        "H2 1e400\nIF duration(@t) > 3 THEN tag(@t) = trills\n",
+    ])
+    def test_bad_number_exits_2(self, tmp_path, capsys, text):
+        """A zero denominator or an overflowing weight is bad input."""
+        tagset_path = tmp_path / "tags.txt"
+        tagset_path.write_text("none\ntrills\n")
+        rules_path = tmp_path / "bad.rules"
+        rules_path.write_text(text)
+        code, out, err = run_cli([
+            "rules-check", str(rules_path), "--tagset", str(tagset_path),
+        ], capsys)
+        assert code == 2
+        assert out == ""
         assert "line 1" in err

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import melody_from_tokens
 from ornatag.errors import (
     NonpositiveWeight,
     RuleSyntaxError,
@@ -23,7 +24,7 @@ from ornatag.rules import (
     parse_rules,
     serialize_rules,
 )
-from ornatag.score import Melody, StateSequence, TagSet, melody_from_tokens
+from ornatag.score import Melody, StateSequence, TagSet
 
 TAGS = TagSet(("none", "trills", "fermata", "mordent"))
 
@@ -105,6 +106,32 @@ class TestParseRules:
     def test_nonpositive_directive(self):
         with pytest.raises(NonpositiveWeight):
             parse_rules("H1 0\n", TAGS)
+
+    @pytest.mark.parametrize("number, expected", [
+        ("1/0", "a nonzero denominator"),
+        ("1/00", "a nonzero denominator"),
+        ("1e400", "a finite number"),
+        ("9" * 400 + "/1", "a finite number"),
+    ])
+    @pytest.mark.parametrize("template, column", [
+        ("IF duration(@t) > 3 THEN tag(@t) = trills WEIGHT {}", 50),
+        ("H1 {}", 4),
+        ("H2 {}", 4),
+    ])
+    def test_bad_number_is_located(self, template, column, number,
+                                   expected):
+        with pytest.raises(RuleSyntaxError) as exc:
+            parse_rules(template.format(number) + "\n", TAGS)
+        assert (exc.value.line, exc.value.column) == (1, column)
+        assert exc.value.token == number
+        assert exc.value.expected == expected
+
+    def test_fractional_weight_and_directive(self):
+        ruleset = parse_rules(
+            "H1 3/2\nH2 1/4\nIF duration(@t) > 3 THEN tag(@t) = trills"
+            " WEIGHT 5/2\n", TAGS)
+        assert (ruleset.h1, ruleset.h2) == (1.5, 0.25)
+        assert ruleset.rules[0].weight == 2.5
 
     def test_syntax_error_carries_location(self):
         with pytest.raises(RuleSyntaxError) as exc:

@@ -21,7 +21,6 @@ from ornatag.score import (
     TaggedCorpus,
     TagSet,
     parse_corpus,
-    parse_legacy_note,
     parse_melody,
     parse_note,
     parse_tagset,
@@ -152,42 +151,16 @@ class TestParseNote:
         with pytest.raises(InvalidOctave):
             parse_note("A9:1")
 
+    @pytest.mark.parametrize("token", ["C\u00b2:1", "C\u0663:1"])
+    def test_octave_digit_is_ascii(self, token):
+        # superscript two passes str.isdigit; Arabic-Indic three int() reads
+        with pytest.raises(InvalidOctave) as exc:
+            parse_melody(token)
+        assert (exc.value.line, exc.value.column) == (1, 2)
 
-class TestLegacyNote:
-    """Compact legacy form: letter, octave digit, integer duration."""
-
-    def test_lowercase_compact_token(self):
-        assert parse_legacy_note("c24") == Note("C", 0, 2, Fraction(4))
-
-    def test_a12(self):
-        assert parse_legacy_note("a12") == Note("A", 0, 1, Fraction(2))
-
-    def test_multidigit_duration(self):
-        assert parse_legacy_note("C412") == Note("C", 0, 4, Fraction(12))
-
-    def test_too_short(self):
+    def test_duration_digits_are_ascii(self):
         with pytest.raises(MalformedToken):
-            parse_legacy_note("c2")
-
-    def test_bad_letter(self):
-        with pytest.raises(InvalidStep):
-            parse_legacy_note("x24")
-
-    def test_nonalpha(self):
-        with pytest.raises(MalformedToken):
-            parse_legacy_note("124")
-
-    def test_nondigit_octave(self):
-        with pytest.raises(MalformedToken):
-            parse_legacy_note("cx4")
-
-    def test_nondigit_tail(self):
-        with pytest.raises(MalformedToken):
-            parse_legacy_note("c2x")
-
-    def test_zero_duration(self):
-        with pytest.raises(InvalidDuration):
-            parse_legacy_note("c20")
+            parse_note("C4:\u0663")
 
 
 class TestSerializeNote:

@@ -1,16 +1,20 @@
 """Synthetic corpus generation, splitting, metrics, and their rendering."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oracles
+from oracles import melody_from_tokens
+from ornatag.combine import tag_with_knowledge
 from ornatag.errors import EmptyCorpus, InputError, LengthMismatch
 from ornatag.metrics import (
+    count_satisfied,
     evaluate,
     format_metrics,
-    rule_satisfaction,
-    with_rule_satisfaction,
+    rule_firing_counts,
 )
 from ornatag.rules import parse_rules
 from ornatag.score import (
@@ -18,7 +22,6 @@ from ornatag.score import (
     StateSequence,
     TaggedCorpus,
     TagSet,
-    melody_from_tokens,
     serialize_corpus,
 )
 from ornatag.synth import (
@@ -127,11 +130,30 @@ class TestGenerateSynthetic:
                     assert states[t] == trills
         assert fired > 0
 
+    def test_later_planted_rule_wins_a_shared_cell(self):
+        # both rules hit every long note, the trills rule only from t >= 1
+        trills = "IF duration(@t+1) > 3 THEN tag(@t+1) = trills\n"
+        fermata = "IF duration(@t) > 3 THEN tag(@t) = fermata\n"
+        for text, last in ((trills + fermata, "fermata"),
+                           (fermata + trills, "trills")):
+            rules = parse_rules(text, DEFAULT_TAGS)
+            corpus = generate_synthetic(
+                SynthProfile(planted_rules=rules), 25, seed=11)
+            long_notes = 0
+            for melody, states in corpus:
+                for t, note in enumerate(melody):
+                    if note.duration_ql > 3:
+                        long_notes += 1
+                        expected = last if t > 0 else "fermata"
+                        assert DEFAULT_TAGS.name(states[t]) == expected
+            assert long_notes > 0
+
     def test_gold_satisfaction_is_exactly_one(self):
         profile = SynthProfile(planted_rules=PLANTED)
         corpus = generate_synthetic(profile, 10, seed=3)
         for melody, states in corpus:
-            assert rule_satisfaction(states, melody, PLANTED, states) == 1.0
+            matched, total = rule_firing_counts(states, melody, PLANTED, states)
+            assert matched == total
 
     def test_zero_melodies(self):
         corpus = generate_synthetic(SynthProfile(), 0, seed=1)
@@ -282,36 +304,52 @@ class TestEvaluate:
 
 
 class TestRuleSatisfaction:
-    """Fraction of firings whose target holds the consequent."""
+    """Firings whose target holds the consequent, out of all firings."""
 
     tags = DEFAULT_TAGS
     rule = PLANTED
 
     def test_vacuous_is_one(self):
+        # no firing: eval reports the vacuous 0 of 0 as a rate of 1.0
         melody = melody_from_tokens(["C4:1", "D4:2"])
         pred = StateSequence((0, 0))
-        assert rule_satisfaction(pred, melody, self.rule, pred) == 1.0
+        assert rule_firing_counts(pred, melody, self.rule, pred) == (0, 0)
 
     def test_single_match(self):
         melody = melody_from_tokens(["C4:4"])
         pred = StateSequence((1,))
-        assert rule_satisfaction(pred, melody, self.rule, pred) == 1.0
+        assert rule_firing_counts(pred, melody, self.rule, pred) == (1, 1)
 
     def test_three_of_four(self):
         melody = melody_from_tokens(["C4:4", "D4:4", "E4:4", "F4:4"])
         pred = StateSequence((1, 1, 1, 0))
         base = StateSequence((0, 0, 0, 0))
-        assert rule_satisfaction(pred, melody, self.rule, base) == 0.75
+        assert rule_firing_counts(pred, melody, self.rule, base) == (3, 4)
 
     def test_type2_firings_read_base(self):
         rules = parse_rules(
             "IF pred(@t) == fermata THEN tag(@t) = none\n", self.tags)
         melody = melody_from_tokens(["C4:1", "D4:1"])
         base = StateSequence((2, 0))  # fermata at position 0
-        assert rule_satisfaction(
-            StateSequence((0, 0)), melody, rules, base) == 1.0
-        assert rule_satisfaction(
-            StateSequence((1, 0)), melody, rules, base) == 0.0
+        assert rule_firing_counts(
+            StateSequence((0, 0)), melody, rules, base) == (1, 1)
+        assert rule_firing_counts(
+            StateSequence((1, 0)), melody, rules, base) == (0, 1)
+
+    def test_firing_log_counts_match_a_fresh_firing_pass(self):
+        rng = np.random.default_rng(3)
+        melody = oracles.random_melody(rng, 12)
+        model = oracles.random_model(rng, melody, h=3)
+        rules = parse_rules(
+            "IF duration(@t) > 1 THEN tag(@t) = tag1 WEIGHT 3\n"
+            "IF pred(@t-1) == tag1 THEN tag(@t) = tag2\n"
+            "IF midi(@t+1) > 60 THEN tag(@t+1) = tag0 WEIGHT 0.5\n",
+            model.tagset)
+        result = tag_with_knowledge(model, rules, melody)
+        counts = count_satisfied(result.final, result.firing_log)
+        assert counts[1] > 0
+        assert counts == rule_firing_counts(
+            result.final, melody, rules, result.base)
 
 
 class TestFormatMetrics:
@@ -340,7 +378,7 @@ class TestFormatMetrics:
 
     def test_rule_satisfaction_rendered_when_present(self):
         pred, gold = tiny_gold([0, 1], [0, 1])
-        metrics = with_rule_satisfaction(evaluate(pred, gold), 0.875)
+        metrics = replace(evaluate(pred, gold), rule_satisfaction=0.875)
         assert '"rule_satisfaction": 0.875000,' in format_metrics(
             metrics, gold.tagset)
 
