@@ -36,7 +36,7 @@ from typing import Union
 import numpy as np
 
 from .errors import NonpositiveWeight, RuleSyntaxError, UnknownFeature, UnknownTag
-from .score import Melody, StateSequence, TagSet, iter_data_lines
+from .score import Melody, StateSequence, TagSet, digit_limit, iter_data_lines
 
 FEATURES = ("duration", "midi", "octave", "step", "position")
 
@@ -157,8 +157,8 @@ class Firing:
 # -- scanner -------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"(?P<POSREF>@t(?:[+-]\d+)?)"
-    r"|(?P<NUMBER>\d+/\d+|\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)"
+    r"(?P<POSREF>@t(?:[+-][0-9]+)?)"
+    r"|(?P<NUMBER>[0-9]+/[0-9]+|[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)"
     r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<OP>==|!=|>=|<=|>|<|=)"
     r"|(?P<LPAREN>\()"
@@ -183,10 +183,30 @@ def _scan(data: str, lineno: int) -> list[_Token]:
                 f"unexpected character {data[pos]!r}",
                 line=lineno, column=pos + 1, expected="a rule token")
         kind = match.lastgroup
+        if kind in ("POSREF", "NUMBER"):
+            _check_size(match.group(), lineno, pos + 1)
         if kind != "WS":
             tokens.append(_Token(kind, match.group(), pos + 1))
         pos = match.end()
     return tokens
+
+
+def _check_size(text: str, lineno: int, column: int) -> None:
+    """Reject a number whose digits plus decimal exponent pass the limit.
+
+    Within the limit, ``int()`` accepts every digit run, and a decimal's
+    exact value has a numerator and denominator that ``str()`` can
+    write back, so parsing and serializing stay fast.
+    """
+    limit = digit_limit()
+    mantissa, _, exponent = text.lower().partition("e")
+    digits = sum(c.isdigit() for c in mantissa)
+    exponent = exponent.lstrip("+-")
+    if len(exponent) > limit or digits + int(exponent or "0") > limit:
+        raise RuleSyntaxError(
+            f"number too large: its digits plus its exponent exceed {limit}",
+            line=lineno, column=column,
+            expected=f"at most {limit} digits, exponent included")
 
 
 class _LineParser:
@@ -339,7 +359,7 @@ def _positive_float(token: _Token, lineno: int, what: str) -> float:
             line=lineno, column=token.column, expected="a nonzero denominator")
     try:
         value = int(num) / int(den) if den else float(text)
-    except (OverflowError, ValueError):  # past float range or int's digit limit
+    except OverflowError:  # a quotient past float range
         value = math.inf
     if not math.isfinite(value):
         raise RuleSyntaxError(

@@ -16,6 +16,7 @@ threads; the parsers and serializers are pure functions.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -229,12 +230,27 @@ def parse_note(token: str) -> Note:
     return Note(step, alteration, octave, duration)
 
 
+def digit_limit() -> int:
+    """Most digits a numeric token may carry.
+
+    Python's limit on ``int()`` of a decimal string, or its default of
+    4,300 where the limit is switched off or absent; past it ``int()``
+    raises and arithmetic on the value grows slow.
+    """
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
 def _parse_duration(token: str, pos: int) -> Fraction:
     match = re.match(r"([0-9]+)(?:/([0-9]+))?\Z", token[pos:])
     if not match:
         raise MalformedToken(
             f"expected a duration 'int' or 'int/int': {token!r}",
             token=token, column=pos + 1)
+    limit = digit_limit()
+    if any(len(run) > limit for run in match.groups() if run):
+        raise InvalidDuration(
+            f"duration has more than {limit} digits in a row",
+            column=pos + 1)
     num = int(match.group(1))
     den = int(match.group(2)) if match.group(2) else 1
     if den == 0:

@@ -14,6 +14,21 @@ H x T matrix of per-position posteriors P(y_t = k | O) (the prediction
 matrix handed to the fusion step), and :func:`viterbi_decode` returns
 the maximum-scoring path, breaking ties toward the lexicographically
 smallest index sequence (the base prediction sequence fed to rules).
+
+Training and inference share one compiled, batched path.  A melody is
+compiled once into a T x K int32 array: row t holds the indices of the
+features active at t, in sorted name order.  Unseen features and the
+padding of short rows point at a sentinel index F (the feature count),
+whose weight row is zero, so emissions are K gathers and adds with no
+branch.  ``train`` compiles the corpus in the same pass that builds the
+vectorizer, then stacks each mini-batch into B x T x K indices padded
+past every melody's length; the alpha/beta recursions run over the
+B x T x H batch, with a length mask holding beta at zero from each
+melody's last position.  The gradient is scattered with ``np.bincount``
+in the order of the per-position loop it replaced (melody, then
+position, each marginal before the gold count), and numpy reduces every
+batch row as it reduced the single melody, so models are bit-identical
+to the loop's.
 """
 
 from __future__ import annotations
@@ -125,12 +140,8 @@ class FeatureVectorizer:
         index assignment is reproducible.
         """
         vec = cls()
-        for melody in melodies:
-            for t in range(len(melody)):
-                for name in sorted(extract_features(melody, t)):
-                    if name not in exclude:
-                        vec.add(name)
-        return vec.freeze()
+        _compile(melodies, vec, learn=True, exclude=exclude)
+        return vec
 
     @classmethod
     def from_names(cls, names: Sequence[str]) -> "FeatureVectorizer":
@@ -201,24 +212,65 @@ class PredictionMatrix:
         return self.values.shape
 
 
-def _feature_indices(model: TaggerModel, melody: Melody) -> list[list[int]]:
-    index = model.vectorizer.index
-    out = []
-    for t in range(len(melody)):
-        idx = [index(name) for name in sorted(extract_features(melody, t))]
-        out.append([i for i in idx if i is not None])
+def _compile(melodies: Iterable[Melody], vectorizer: FeatureVectorizer,
+             learn: bool = False,
+             exclude: frozenset[str] = frozenset()) -> list[np.ndarray]:
+    """Each melody's T x K int32 feature indices, in one feature pass.
+
+    Row t lists the indices of the features active at position t in
+    sorted name order.  Unseen features and the padding of rows shorter
+    than K point at the sentinel ``len(vectorizer)``.  With ``learn``
+    the vectorizer first adds every name not in ``exclude`` as it is
+    met, and is frozen once all melodies are seen.
+    """
+    compiled = []
+    for melody in melodies:
+        rows = []
+        for t in range(len(melody)):
+            row = []
+            for name in sorted(extract_features(melody, t)):
+                if learn and name not in exclude:
+                    vectorizer.add(name)
+                index = vectorizer.index(name)
+                row.append(-1 if index is None else index)
+            rows.append(row)
+        width = max(map(len, rows))
+        compiled.append(np.array([row + [-1] * (width - len(row))
+                                  for row in rows], dtype=np.int32))
+    if learn:
+        vectorizer.freeze()
+    sentinel = len(vectorizer)
+    for rows in compiled:
+        rows[rows < 0] = sentinel
+    return compiled
+
+
+def _pad(arrays: Sequence[np.ndarray], fill: int) -> np.ndarray:
+    """Stack arrays into one, each right-padded with ``fill`` on every axis."""
+    shape = np.max([a.shape for a in arrays], axis=0)
+    out = np.full((len(arrays), *shape), fill, dtype=arrays[0].dtype)
+    for b, a in enumerate(arrays):
+        out[(b, *map(slice, a.shape))] = a
     return out
+
+
+def _emissions(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """... x H emission scores of ... x K compiled feature indices.
+
+    The weight rows are added in K order, the order of a per-position
+    ``weights[idx].sum(axis=0)``; the sentinel index reads a zero row.
+    """
+    padded = np.vstack([weights, np.zeros((1, weights.shape[1]))])
+    E = padded[features[..., 0]]
+    for k in range(1, features.shape[-1]):
+        E += padded[features[..., k]]
+    return E
 
 
 def emission_matrix(model: TaggerModel, melody: Melody) -> np.ndarray:
     """T x H matrix of emission scores; unseen features contribute zero."""
-    T = len(melody)
-    H = len(model.tagset)
-    E = np.zeros((T, H))
-    for t, idx in enumerate(_feature_indices(model, melody)):
-        if idx:
-            E[t] = model.emission_weights[idx].sum(axis=0)
-    return E
+    return _emissions(model.emission_weights,
+                      _compile([melody], model.vectorizer)[0])
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -246,27 +298,36 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
-def _forward_backward(E: np.ndarray, Tr: np.ndarray):
-    """Log-space alpha/beta recursions; returns (log_alpha, log_beta, log_Z)."""
-    T, H = E.shape
-    log_alpha = np.empty((T, H))
-    log_alpha[0] = E[0]
+def _forward_backward(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray):
+    """Log-space alpha/beta recursions over a padded B x T x H batch.
+
+    Entry b occupies the first ``lengths[b]`` positions of ``E``; its
+    beta is held at zero from its last position on, and its log Z is
+    read at that position.  Returns (log_alpha, log_beta, log_z) with
+    log_z of shape (B,); values past an entry's length are finite and
+    meaningless.
+    """
+    B, T, H = E.shape
+    log_alpha = np.empty((B, T, H))
+    log_alpha[:, 0] = E[:, 0]
     for t in range(1, T):
-        log_alpha[t] = E[t] + _logsumexp(
-            log_alpha[t - 1][:, None] + Tr, axis=0)
-    log_beta = np.zeros((T, H))
+        log_alpha[:, t] = E[:, t] + _logsumexp(
+            log_alpha[:, t - 1, :, None] + Tr, axis=1)
+    log_beta = np.zeros((B, T, H))
+    inside = (np.arange(T - 1)[:, None] < lengths - 1)[:, :, None]
     for t in range(T - 2, -1, -1):
-        log_beta[t] = _logsumexp(
-            Tr + (E[t + 1] + log_beta[t + 1])[None, :], axis=1)
-    log_z = _logsumexp(log_alpha[T - 1], axis=0)
+        log_beta[:, t] = np.where(inside[t], _logsumexp(
+            Tr + (E[:, t + 1] + log_beta[:, t + 1])[:, None, :], axis=2), 0.0)
+    log_z = _logsumexp(log_alpha[np.arange(B), lengths - 1], axis=1)
     return log_alpha, log_beta, log_z
 
 
 def posterior_marginals(model: TaggerModel, melody: Melody) -> PredictionMatrix:
     """P(y_t = k | O) for every position and tag, via forward-backward."""
     E = emission_matrix(model, melody)
-    log_alpha, log_beta, log_z = _forward_backward(E, model.transition_weights)
-    marginals = np.exp(log_alpha + log_beta - log_z).T
+    log_alpha, log_beta, log_z = _forward_backward(
+        E[None], model.transition_weights, np.array([len(melody)]))
+    marginals = np.exp(log_alpha[0] + log_beta[0] - log_z[0]).T
     # exact within float error already; renormalize to pin column sums
     marginals /= marginals.sum(axis=0, keepdims=True)
     return PredictionMatrix(marginals)
@@ -314,6 +375,77 @@ def unflatten_weights(flat: np.ndarray, num_features: int,
     return emissions, transitions
 
 
+def _batch_nll(model: TaggerModel, features: Sequence[np.ndarray],
+               golds: Sequence[np.ndarray], loss: float = 0.0,
+               counts: np.ndarray | None = None) -> float:
+    """Add each entry's log Z - score(gold) to ``loss``, in entry order.
+
+    ``features`` are compiled index arrays and ``golds`` the gold tag
+    arrays of a mini-batch.  When ``counts`` is given (emission rows,
+    sentinel row included, then transition rows, flattened), expected
+    minus empirical feature counts are added to it in place, entry by
+    entry and position by position, each marginal before the gold count
+    at the same position.
+    """
+    Tr = model.transition_weights
+    F, H = model.emission_weights.shape
+    lengths = np.array([len(gold) for gold in golds])
+    gold = _pad(golds, 0)
+    E = _emissions(model.emission_weights, _pad(features, F))
+    log_alpha, log_beta, log_z = _forward_backward(E, Tr, lengths)
+    gold_steps = np.take_along_axis(E, gold[:, :, None], axis=2)[:, :, 0]
+    gold_steps[:, 1:] += Tr[gold[:, :-1], gold[:, 1:]]
+    gold_score = np.cumsum(gold_steps, axis=1)[np.arange(len(golds)),
+                                               lengths - 1]
+    for term in log_z - gold_score:
+        loss += term
+    if counts is None:
+        return loss
+    tags = np.arange(H)
+    pairs = (F + 1) * H + np.arange(H * H)
+    for b, (T, rows, g) in enumerate(zip(lengths, features, golds)):
+        unigram = np.exp(log_alpha[b, :T] + log_beta[b, :T] - log_z[b])
+        K = rows.shape[1]
+        emission_at = np.concatenate([
+            (rows[:, :, None] * H + tags).reshape(T, K * H),
+            rows * H + g[:, None]], axis=1)
+        emission_add = np.concatenate([
+            np.broadcast_to(unigram[:, None, :], (T, K, H)).reshape(T, K * H),
+            np.full((T, K), -1.0)], axis=1)
+        pair = np.exp(log_alpha[b, :T - 1, :, None] + Tr
+                      + (E[b, 1:T] + log_beta[b, 1:T])[:, None, :] - log_z[b])
+        pair_at = np.concatenate([
+            np.broadcast_to(pairs, (T - 1, H * H)),
+            ((F + 1) * H + g[:-1] * H + g[1:])[:, None]], axis=1)
+        pair_add = np.concatenate([pair.reshape(T - 1, H * H),
+                                   np.full((T - 1, 1), -1.0)], axis=1)
+        # the running counts go in first, so bincount continues their sums
+        counts[:] = np.bincount(
+            np.concatenate([np.arange(counts.size), emission_at.ravel(),
+                            pair_at.ravel()]),
+            weights=np.concatenate([counts, emission_add.ravel(),
+                                    pair_add.ravel()]),
+            minlength=counts.size)
+    return loss
+
+
+def _l2_penalty(model: TaggerModel, l2: float) -> float:
+    return 0.5 * l2 * (np.sum(model.emission_weights ** 2)
+                       + np.sum(model.transition_weights ** 2))
+
+
+def _nll_and_gradient(model: TaggerModel, features: Sequence[np.ndarray],
+                      golds: Sequence[np.ndarray],
+                      l2: float) -> tuple[float, np.ndarray]:
+    F, H = model.emission_weights.shape
+    counts = np.zeros((F + 1) * H + H * H)
+    loss = _batch_nll(model, features, golds, counts=counts)
+    loss += _l2_penalty(model, l2)
+    gradient = (np.delete(counts, np.s_[F * H:(F + 1) * H])
+                + l2 * flatten_weights(model))
+    return float(loss), gradient
+
+
 def nll_and_gradient(model: TaggerModel, batch: TaggedCorpus,
                      l2: float) -> tuple[float, np.ndarray]:
     """Negative log-likelihood of the batch plus an L2 penalty.
@@ -324,39 +456,9 @@ def nll_and_gradient(model: TaggerModel, batch: TaggedCorpus,
     """
     if len(batch) == 0:
         raise EmptyCorpus("gradient of an empty batch")
-    H = len(model.tagset)
-    Tr = model.transition_weights
-    grad_emission = np.zeros_like(model.emission_weights)
-    grad_transition = np.zeros_like(Tr)
-    loss = 0.0
-    for melody, gold in batch:
-        T = len(melody)
-        indices = _feature_indices(model, melody)
-        E = np.zeros((T, H))
-        for t, idx in enumerate(indices):
-            if idx:
-                E[t] = model.emission_weights[idx].sum(axis=0)
-        log_alpha, log_beta, log_z = _forward_backward(E, Tr)
-        gold_score = E[0, gold[0]]
-        for t in range(1, T):
-            gold_score += Tr[gold[t - 1], gold[t]] + E[t, gold[t]]
-        loss += log_z - gold_score
-        unigram = np.exp(log_alpha + log_beta - log_z)
-        for t, idx in enumerate(indices):
-            if idx:
-                grad_emission[idx] += unigram[t]
-            grad_emission[idx, gold[t]] -= 1.0
-        for t in range(1, T):
-            log_pair = (log_alpha[t - 1][:, None] + Tr
-                        + (E[t] + log_beta[t])[None, :] - log_z)
-            grad_transition += np.exp(log_pair)
-            grad_transition[gold[t - 1], gold[t]] -= 1.0
-    loss += 0.5 * l2 * (np.sum(model.emission_weights ** 2)
-                        + np.sum(Tr ** 2))
-    grad_emission += l2 * model.emission_weights
-    grad_transition += l2 * Tr
-    gradient = np.concatenate([grad_emission.ravel(), grad_transition.ravel()])
-    return float(loss), gradient
+    features = _compile((melody for melody, _ in batch), model.vectorizer)
+    golds = [np.array(gold.tags) for _, gold in batch]
+    return _nll_and_gradient(model, features, golds, l2)
 
 
 @dataclass(frozen=True)
@@ -404,8 +506,10 @@ def train(corpus: TaggedCorpus, config: TrainConfig = TrainConfig(),
         raise EmptyCorpus("cannot train on an empty corpus")
     tagset = corpus.tagset
     H = len(tagset)
-    vectorizer = FeatureVectorizer.build(
-        (melody for melody, _ in corpus), exclude=config.exclude_features)
+    vectorizer = FeatureVectorizer()
+    features = _compile((melody for melody, _ in corpus), vectorizer,
+                        learn=True, exclude=config.exclude_features)
+    golds = [np.array(gold.tags) for _, gold in corpus]
     F = len(vectorizer)
     emissions = np.zeros((F, H))
     transitions = np.zeros((H, H))
@@ -415,26 +519,28 @@ def train(corpus: TaggedCorpus, config: TrainConfig = TrainConfig(),
     n_entries = len(corpus.entries)
     for epoch in range(config.epochs):
         order = rng.permutation(n_entries)
-        epoch_loss = 0.5 * config.l2 * (
-            np.sum(model.emission_weights ** 2)
-            + np.sum(model.transition_weights ** 2))
+        epoch_loss = _l2_penalty(model, config.l2)
         for start in range(0, n_entries, config.batch_size):
             chosen = order[start:start + config.batch_size]
-            entries = tuple(corpus.entries[i] for i in chosen)
-            batch = TaggedCorpus(tagset, entries)
-            batch_l2 = config.l2 * len(entries) / n_entries
-            loss, gradient = nll_and_gradient(model, batch, batch_l2)
-            epoch_loss += loss - 0.5 * batch_l2 * (
-                np.sum(model.emission_weights ** 2)
-                + np.sum(model.transition_weights ** 2))
-            tokens = batch.token_count
+            batch_l2 = config.l2 * len(chosen) / n_entries
+            loss, gradient = _nll_and_gradient(
+                model, [features[i] for i in chosen],
+                [golds[i] for i in chosen], batch_l2)
+            epoch_loss += loss - _l2_penalty(model, batch_l2)
+            tokens = sum(len(golds[i]) for i in chosen)
             flat = flatten_weights(model) - config.step_size * gradient / tokens
             emissions, transitions = unflatten_weights(flat, F, H)
             model = replace(model, emission_weights=emissions,
                             transition_weights=transitions)
         if progress is not None:
             progress(epoch + 1, float(epoch_loss))
-    final_loss, _ = nll_and_gradient(model, corpus, config.l2)
+    # the final loss in batch-sized chunks keeps peak memory at one batch
+    final_loss = 0.0
+    for start in range(0, n_entries, config.batch_size):
+        final_loss = _batch_nll(model, features[start:start + config.batch_size],
+                                golds[start:start + config.batch_size],
+                                final_loss)
+    final_loss += _l2_penalty(model, config.l2)
     meta = TrainingMeta(epochs=config.epochs, final_loss=float(final_loss),
                         seed=config.seed)
     return replace(model, training_meta=meta)

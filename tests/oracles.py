@@ -7,6 +7,7 @@ thousand), which is the point.
 """
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,12 @@ from ornatag.score import (
     TagSet,
     parse_note,
 )
-from ornatag.tagger import FeatureVectorizer, TaggerModel, TrainingMeta
+from ornatag.tagger import (
+    FeatureVectorizer,
+    TaggerModel,
+    TrainingMeta,
+    extract_features,
+)
 
 
 def melody_from_tokens(tokens):
@@ -67,6 +73,100 @@ def brute_viterbi(E, Tr):
         if score > best_score:
             best_path, best_score = path, score
     return best_path, best_score
+
+
+def reference_nll_and_gradient(model, batch, l2):
+    """The training objective by per-melody, per-position loops.
+
+    The loop form of ``tagger.nll_and_gradient``: it accumulates the
+    loss melody by melody and the gradient position by position, adding
+    each marginal before the gold count at the same position.  The
+    batched code keeps that order, so both agree bit for bit.
+    """
+    H = len(model.tagset)
+    W = model.emission_weights
+    Tr = model.transition_weights
+    grad_emission = np.zeros_like(W)
+    grad_transition = np.zeros_like(Tr)
+    loss = 0.0
+    for melody, gold in batch:
+        T = len(melody)
+        indices = []
+        for t in range(T):
+            idx = [model.vectorizer.index(name)
+                   for name in sorted(extract_features(melody, t))]
+            indices.append([i for i in idx if i is not None])
+        E = np.zeros((T, H))
+        for t, idx in enumerate(indices):
+            if idx:
+                E[t] = W[idx].sum(axis=0)
+        log_alpha = np.empty((T, H))
+        log_alpha[0] = E[0]
+        for t in range(1, T):
+            log_alpha[t] = E[t] + logsumexp(
+                log_alpha[t - 1][:, None] + Tr, axis=0)
+        log_beta = np.zeros((T, H))
+        for t in range(T - 2, -1, -1):
+            log_beta[t] = logsumexp(
+                Tr + (E[t + 1] + log_beta[t + 1])[None, :], axis=1)
+        log_z = logsumexp(log_alpha[T - 1], axis=0)
+        gold_score = E[0, gold[0]]
+        for t in range(1, T):
+            gold_score += Tr[gold[t - 1], gold[t]] + E[t, gold[t]]
+        loss += log_z - gold_score
+        unigram = np.exp(log_alpha + log_beta - log_z)
+        for t, idx in enumerate(indices):
+            if idx:
+                grad_emission[idx] += unigram[t]
+            grad_emission[idx, gold[t]] -= 1.0
+        for t in range(1, T):
+            log_pair = (log_alpha[t - 1][:, None] + Tr
+                        + (E[t] + log_beta[t])[None, :] - log_z)
+            grad_transition += np.exp(log_pair)
+            grad_transition[gold[t - 1], gold[t]] -= 1.0
+    loss += 0.5 * l2 * (np.sum(W ** 2) + np.sum(Tr ** 2))
+    grad_emission += l2 * W
+    grad_transition += l2 * Tr
+    gradient = np.concatenate([grad_emission.ravel(), grad_transition.ravel()])
+    return float(loss), gradient
+
+
+def reference_train(corpus, config, progress=None):
+    """``tagger.train`` as a loop over ``reference_nll_and_gradient``."""
+    H = len(corpus.tagset)
+    vectorizer = FeatureVectorizer.build(
+        (melody for melody, _ in corpus), exclude=config.exclude_features)
+    F = len(vectorizer)
+    model = TaggerModel(corpus.tagset, vectorizer, np.zeros((F, H)),
+                        np.zeros((H, H)), TrainingMeta(0, 0.0, config.seed))
+    rng = np.random.default_rng(config.seed)
+    n_entries = len(corpus.entries)
+
+    def penalty(l2):
+        return 0.5 * l2 * (np.sum(model.emission_weights ** 2)
+                           + np.sum(model.transition_weights ** 2))
+
+    for epoch in range(config.epochs):
+        order = rng.permutation(n_entries)
+        epoch_loss = penalty(config.l2)
+        for start in range(0, n_entries, config.batch_size):
+            entries = tuple(corpus.entries[i]
+                            for i in order[start:start + config.batch_size])
+            batch = TaggedCorpus(corpus.tagset, entries)
+            batch_l2 = config.l2 * len(entries) / n_entries
+            loss, gradient = reference_nll_and_gradient(model, batch, batch_l2)
+            epoch_loss += loss - penalty(batch_l2)
+            flat = (np.concatenate([model.emission_weights.ravel(),
+                                    model.transition_weights.ravel()])
+                    - config.step_size * gradient / batch.token_count)
+            model = replace(model,
+                            emission_weights=flat[:F * H].reshape(F, H),
+                            transition_weights=flat[F * H:].reshape(H, H))
+        if progress is not None:
+            progress(epoch + 1, float(epoch_loss))
+    final_loss, _ = reference_nll_and_gradient(model, corpus, config.l2)
+    return replace(model, training_meta=TrainingMeta(
+        config.epochs, final_loss, config.seed))
 
 
 def central_difference_gradient(fn, w, step=1e-5):

@@ -21,6 +21,7 @@ from ornatag.score import (
     parse_corpus,
     parse_melody,
     parse_tagset,
+    digit_limit,
     serialize_corpus,
 )
 from ornatag.synth import SynthProfile, generate_synthetic
@@ -342,6 +343,17 @@ class TestTag:
         assert code == 2
         assert "line 1" in err
 
+    def test_long_duration_exits_2(self, workdir, tmp_path, capsys):
+        """A duration past the digit limit is bad input, not exit 3."""
+        melody_path = tmp_path / "tune.melody"
+        melody_path.write_text(f"C5:1 C5:{'1' * (digit_limit() + 1)}\n")
+        code, _, err = run_cli([
+            "tag", "--model", str(workdir / "model.txt"),
+            "--melody", str(melody_path), "--out", str(tmp_path / "t.txt"),
+        ], capsys)
+        assert code == 2
+        assert "line 1, column 4" in err
+
     def test_non_ascii_octave_digit_exits_2(self, workdir, tmp_path, capsys):
         """A superscript octave digit is bad input, not an internal error."""
         melody_path = tmp_path / "tune.melody"
@@ -565,3 +577,24 @@ class TestRulesCheck:
         assert code == 2
         assert out == ""
         assert "line 1" in err
+
+    @pytest.mark.parametrize("text", [
+        "IF duration(@t+{long}) > 3 THEN tag(@t) = trills\n",
+        "IF midi(@t) > {long} THEN tag(@t) = trills\n",
+        "IF duration(@t) > 1e10000000 THEN tag(@t) = trills\n",
+        "IF duration(@t) > 3 THEN tag(@t) = trills WEIGHT \u0663\n",
+    ])
+    def test_oversized_or_non_ascii_number_exits_2(self, tmp_path, capsys,
+                                                   text):
+        """Numbers past the digit limit or in non-ASCII digits: exit 2."""
+        tagset_path = tmp_path / "tags.txt"
+        tagset_path.write_text("none\ntrills\n")
+        rules_path = tmp_path / "bad.rules"
+        rules_path.write_text(text.format(long="1" * (digit_limit() + 1)),
+                              encoding="utf-8")
+        code, out, err = run_cli([
+            "rules-check", str(rules_path), "--tagset", str(tagset_path),
+        ], capsys)
+        assert code == 2
+        assert out == ""
+        assert "line 1, column" in err

@@ -24,7 +24,7 @@ from ornatag.rules import (
     parse_rules,
     serialize_rules,
 )
-from ornatag.score import Melody, StateSequence, TagSet
+from ornatag.score import Melody, StateSequence, TagSet, digit_limit
 
 TAGS = TagSet(("none", "trills", "fermata", "mordent"))
 
@@ -125,6 +125,45 @@ class TestParseRules:
         assert (exc.value.line, exc.value.column) == (1, column)
         assert exc.value.token == number
         assert exc.value.expected == expected
+
+    @pytest.mark.parametrize("template, column", [
+        ("IF duration(@t+{}) > 3 THEN tag(@t) = trills", 13),
+        ("IF midi(@t) > {} THEN tag(@t) = trills", 15),
+        ("IF duration(@t) > 1/{} THEN tag(@t) = trills", 19),
+        ("IF duration(@t) > 3 THEN tag(@t) = trills WEIGHT {}", 50),
+    ])
+    def test_long_digit_run_is_located(self, template, column):
+        with pytest.raises(RuleSyntaxError) as exc:
+            parse_rules(template.format("1" * (digit_limit() + 1)) + "\n", TAGS)
+        assert (exc.value.line, exc.value.column) == (1, column)
+
+    @pytest.mark.parametrize("number", [
+        "1e10000000", "1e{limit}", "1.5e-{less}", "1e" + "0" * 5000 + "1",
+    ], ids=["huge-exponent", "exponent-at-limit", "digits-plus-exponent",
+            "long-exponent-run"])
+    def test_digits_plus_exponent_are_bounded(self, number):
+        limit = digit_limit()
+        number = number.format(limit=limit, less=limit - 1)
+        with pytest.raises(RuleSyntaxError) as exc:
+            parse_one(f"IF duration(@t) > {number} THEN tag(@t) = trills")
+        assert (exc.value.line, exc.value.column) == (1, 19)
+
+    def test_number_at_the_digit_limit_round_trips(self):
+        exponent = digit_limit() - 1
+        ruleset = parse_rules(
+            f"IF duration(@t) > 1e{exponent} THEN tag(@t) = trills\n", TAGS)
+        assert ruleset.rules[0].clauses[0].value == 10 ** exponent
+        assert parse_rules(serialize_rules(ruleset), TAGS) == ruleset
+
+    @pytest.mark.parametrize("line", [
+        "IF duration(@t) > 3 THEN tag(@t) = trills WEIGHT \u0663",
+        "IF duration(@t+\u0663) > 3 THEN tag(@t) = trills",
+        "IF midi(@t) > \u0666\u0660 THEN tag(@t) = trills",
+    ])
+    def test_numbers_take_ascii_digits_only(self, line):
+        # Arabic-Indic digits match \d and int() reads them
+        with pytest.raises(RuleSyntaxError):
+            parse_one(line)
 
     def test_fractional_weight_and_directive(self):
         ruleset = parse_rules(

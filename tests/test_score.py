@@ -20,6 +20,7 @@ from ornatag.score import (
     StateSequence,
     TaggedCorpus,
     TagSet,
+    digit_limit,
     parse_corpus,
     parse_melody,
     parse_note,
@@ -157,6 +158,13 @@ class TestParseNote:
         with pytest.raises(InvalidOctave) as exc:
             parse_melody(token)
         assert (exc.value.line, exc.value.column) == (1, 2)
+
+    @pytest.mark.parametrize("duration", ["{}", "1/{}", "{}/3"])
+    def test_long_duration_is_located(self, duration):
+        token = "C4:" + duration.format("1" * (digit_limit() + 1))
+        with pytest.raises(InvalidDuration) as exc:
+            parse_melody("D4:1\n" + token)
+        assert (exc.value.line, exc.value.column) == (2, 4)
 
     def test_duration_digits_are_ascii(self):
         with pytest.raises(MalformedToken):

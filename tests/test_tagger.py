@@ -25,6 +25,7 @@ from ornatag.score import (
     TaggedCorpus,
     TagSet,
 )
+from ornatag import tagger
 from ornatag.tagger import (
     FeatureVectorizer,
     TaggerModel,
@@ -292,6 +293,37 @@ class TestNllAndGradient:
         scale = np.maximum(np.abs(numeric), 1.0)
         assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_identical_to_reference_loops(self, seed):
+        """Batched loss and gradient equal the per-position loops exactly.
+
+        Batches mix lengths 1 to 70, single-note melodies included, and
+        features the vectorizer has not seen; H runs from 2 to 10, so
+        numpy's 8-wide summation path is taken too.
+        """
+        rng = np.random.default_rng(seed)
+        for h in range(2 + seed % 2, 11, 2):
+            tagset = oracles.random_tagset(h)
+            lengths = [1, 70] + [int(rng.integers(1, 71)) for _ in range(6)]
+            entries = tuple(
+                (oracles.random_melody(rng, n), StateSequence(tuple(
+                    int(k) for k in rng.integers(0, h, size=n))))
+                for n in rng.permutation(lengths))
+            batch = TaggedCorpus(tagset, entries)
+            # built from two melodies: the others bring unseen features
+            vectorizer = FeatureVectorizer.build(
+                [melody for melody, _ in entries[:2]])
+            model = TaggerModel(
+                tagset, vectorizer,
+                rng.normal(0.0, 2.0, size=(len(vectorizer), h)),
+                rng.normal(0.0, 2.0, size=(h, h)), TrainingMeta(0, 0.0, 0))
+            for l2 in (0.0, 0.01, 0.5):
+                loss, gradient = nll_and_gradient(model, batch, l2)
+                ref_loss, ref_gradient = oracles.reference_nll_and_gradient(
+                    model, batch, l2)
+                assert loss == ref_loss
+                assert np.array_equal(gradient, ref_gradient)
+
     def test_gradient_shape_and_flattening(self):
         melody = melody_from_tokens(["C4:1", "D4:1"])
         model = zero_model(melody, h=3)
@@ -362,6 +394,35 @@ class TestTrain:
                 return
             step /= 2
         pytest.fail(f"loss not monotone even at step {step * 2}: {losses}")
+
+    @pytest.mark.parametrize("config", [
+        TrainConfig(epochs=3, batch_size=2, seed=42),
+        TrainConfig(epochs=2, batch_size=32, l2=0.0, seed=1),
+        TrainConfig(epochs=2, batch_size=3, step_size=0.5, seed=7,
+                    exclude_features=frozenset({"durbucket=(1/2,1]",
+                                                "pos=BOS"})),
+    ])
+    def test_bit_identical_to_reference_training(self, config):
+        corpus = tiny_corpus(seed=12, n_entries=9, h=4, max_len=12)
+        losses, ref_losses = [], []
+        model = train(corpus, config,
+                      progress=lambda epoch, loss: losses.append(loss))
+        reference = oracles.reference_train(
+            corpus, config, progress=lambda epoch, loss: ref_losses.append(loss))
+        assert serialize_model(model) == serialize_model(reference)
+        assert losses == ref_losses
+
+    def test_features_extracted_once_per_token(self, monkeypatch):
+        calls = []
+
+        def counting(melody, t):
+            calls.append(t)
+            return extract_features(melody, t)
+
+        monkeypatch.setattr(tagger, "extract_features", counting)
+        corpus = tiny_corpus(n_entries=8)
+        train(corpus, TrainConfig(epochs=3, batch_size=3))
+        assert len(calls) == corpus.token_count
 
     def test_training_meta_records_run(self):
         corpus = tiny_corpus()
