@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .combine import tag_with_knowledge
+from .combine import tag_corpus, tag_with_knowledge
 from .errors import InputError, OrnatagError
 from .metrics import count_satisfied, evaluate, format_metrics
 from .model_io import MAGIC, load_model, save_model
@@ -172,8 +172,8 @@ def cmd_eval(args) -> int:
     predictions = []
     matched = 0
     total = 0
-    for melody, _ in corpus:
-        result = tag_with_knowledge(model, ruleset, melody)
+    melodies = (melody for melody, _ in corpus)
+    for result in tag_corpus(model, ruleset, melodies):
         predictions.append(result.final)
         hits, firings = count_satisfied(result.final, result.firing_log)
         matched += hits

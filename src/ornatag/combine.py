@@ -10,13 +10,15 @@ positions, it does not re-run sequence decoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import ShapeMismatch
 from .rules import Firing, RuleSet, WeightMatrix, build_weight_matrix
 from .score import Melody, StateSequence, TagSet
-from .tagger import PredictionMatrix, TaggerModel, posterior_marginals, viterbi_decode
+from .tagger import PredictionMatrix, TaggerModel, infer
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,22 +70,42 @@ class TagResult:
     firing_log: tuple[Firing, ...]
 
 
+# melodies per inference batch: it bounds the padded arrays and the
+# results held at once while a corpus streams through
+_BATCH = 16
+
+
+def tag_corpus(model: TaggerModel, rules: RuleSet,
+               melodies: Iterable[Melody]) -> Iterator[TagResult]:
+    """:func:`tag_with_knowledge` for each melody, in order.
+
+    Marginals and base paths come from one batched inference pass per
+    batch of melodies; the rule pass and fusion then run per melody.
+    Results are yielded one at a time, so a caller that does not keep
+    them holds at most one batch.  A ruleset bound to another tag set
+    than the model's raises ShapeMismatch on the first ``next``.
+    """
+    if rules.tagset != model.tagset:
+        raise ShapeMismatch("ruleset is bound to a different tag set "
+                            "than the model")
+    melodies = iter(melodies)
+    while batch := list(islice(melodies, _BATCH)):
+        for melody, (p2, base) in zip(batch, infer(model, batch)):
+            firing_log: list[Firing] = []
+            p1 = build_weight_matrix(rules, melody, base, firing_log)
+            fused = combine(p1, p2)
+            final = decode(fused, model.tagset)
+            yield TagResult(final=final, base=base, p1=p1, p2=p2,
+                            combined=fused, firing_log=tuple(firing_log))
+
+
 def tag_with_knowledge(model: TaggerModel, rules: RuleSet,
                        melody: Melody) -> TagResult:
     """Full pipeline: marginals, base Viterbi path, rule pass, fusion.
 
     Type 2 rules read the base path once; the fused output is never
     fed back.  With an empty ruleset p1 stays all ones and the final
-    sequence is the per-position argmax of p2.
+    sequence is the per-position argmax of p2.  This is
+    :func:`tag_corpus` on one melody.
     """
-    if rules.tagset != model.tagset:
-        raise ShapeMismatch("ruleset is bound to a different tag set "
-                            "than the model")
-    p2 = posterior_marginals(model, melody)
-    base = viterbi_decode(model, melody)
-    firing_log: list[Firing] = []
-    p1 = build_weight_matrix(rules, melody, base, firing_log)
-    fused = combine(p1, p2)
-    final = decode(fused, model.tagset)
-    return TagResult(final=final, base=base, p1=p1, p2=p2, combined=fused,
-                     firing_log=tuple(firing_log))
+    return next(tag_corpus(model, rules, [melody]))

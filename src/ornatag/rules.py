@@ -36,7 +36,14 @@ from typing import Union
 import numpy as np
 
 from .errors import NonpositiveWeight, RuleSyntaxError, UnknownFeature, UnknownTag
-from .score import Melody, StateSequence, TagSet, digit_limit, iter_data_lines
+from .score import (
+    Melody,
+    StateSequence,
+    TagSet,
+    digit_limit,
+    exceeds_digit_limit,
+    iter_data_lines,
+)
 
 FEATURES = ("duration", "midi", "octave", "step", "position")
 
@@ -192,17 +199,9 @@ def _scan(data: str, lineno: int) -> list[_Token]:
 
 
 def _check_size(text: str, lineno: int, column: int) -> None:
-    """Reject a number whose digits plus decimal exponent pass the limit.
-
-    Within the limit, ``int()`` accepts every digit run, and a decimal's
-    exact value has a numerator and denominator that ``str()`` can
-    write back, so parsing and serializing stay fast.
-    """
-    limit = digit_limit()
-    mantissa, _, exponent = text.lower().partition("e")
-    digits = sum(c.isdigit() for c in mantissa)
-    exponent = exponent.lstrip("+-")
-    if len(exponent) > limit or digits + int(exponent or "0") > limit:
+    """Reject a number whose digits plus decimal exponent pass the limit."""
+    if exceeds_digit_limit(text):
+        limit = digit_limit()
         raise RuleSyntaxError(
             f"number too large: its digits plus its exponent exceed {limit}",
             line=lineno, column=column,

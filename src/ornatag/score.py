@@ -240,6 +240,20 @@ def digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
+def exceeds_digit_limit(number: str) -> bool:
+    """Whether a number's digits plus its decimal exponent pass the limit.
+
+    Within :func:`digit_limit`, ``int()`` accepts every digit run, and a
+    decimal's exact value has a numerator and denominator that ``str()``
+    can write back, so parsing and serializing stay fast.
+    """
+    limit = digit_limit()
+    mantissa, _, exponent = number.lower().partition("e")
+    digits = sum(c.isdecimal() for c in mantissa)
+    exponent = "".join(c for c in exponent if c.isdecimal())
+    return len(exponent) > limit or digits + int(exponent or "0") > limit
+
+
 def _parse_duration(token: str, pos: int) -> Fraction:
     match = re.match(r"([0-9]+)(?:/([0-9]+))?\Z", token[pos:])
     if not match:

@@ -21,7 +21,15 @@ import numpy as np
 
 from .errors import InputError
 from .rules import RuleSet, collect_firings, parse_rules
-from .score import Melody, Note, StateSequence, TaggedCorpus, TagSet
+from .score import (
+    Melody,
+    Note,
+    StateSequence,
+    TaggedCorpus,
+    TagSet,
+    digit_limit,
+    exceeds_digit_limit,
+)
 from .tagger import duration_bucket
 
 DEFAULT_TAGS = TagSet(("none", "trills", "fermata", "mordent"))
@@ -235,8 +243,9 @@ def parse_profile(text: str) -> SynthProfile:
             raise InputError("duration_pool must be an object")
         try:
             kwargs["duration_pool"] = tuple(
-                (Fraction(key), float(value)) for key, value in pool.items())
-        except (ValueError, ZeroDivisionError) as err:
+                (_duration_key(key), float(value))
+                for key, value in pool.items())
+        except (ValueError, TypeError, ZeroDivisionError) as err:
             raise InputError(f"bad duration_pool: {err}") from err
     if "tag_markov" in raw:
         kwargs["tag_markov"] = np.asarray(raw["tag_markov"], dtype=float)
@@ -256,6 +265,16 @@ def parse_profile(text: str) -> SynthProfile:
         kwargs["planted_rules"] = parse_rules(
             "".join(f"{line}\n" for line in lines), tagset)
     return SynthProfile(**kwargs)
+
+
+def _duration_key(key: str) -> Fraction:
+    """A duration_pool key as a Fraction, its size bounded before parsing."""
+    if exceeds_digit_limit(key):
+        shown = key if len(key) <= 40 else f"{key[:40]}..."
+        raise InputError(
+            f"duration_pool key {shown!r} is too large: its digits plus its "
+            f"exponent exceed {digit_limit()}")
+    return Fraction(key)
 
 
 def _int_pair(value, name: str) -> tuple[int, int]:

@@ -14,21 +14,24 @@ H x T matrix of per-position posteriors P(y_t = k | O) (the prediction
 matrix handed to the fusion step), and :func:`viterbi_decode` returns
 the maximum-scoring path, breaking ties toward the lexicographically
 smallest index sequence (the base prediction sequence fed to rules).
+Both are :func:`infer` on a batch of one; ``infer`` gives both views
+of a list of melodies from one compile and one emission build.
 
 Training and inference share one compiled, batched path.  A melody is
 compiled once into a T x K int32 array: row t holds the indices of the
 features active at t, in sorted name order.  Unseen features and the
 padding of short rows point at a sentinel index F (the feature count),
 whose weight row is zero, so emissions are K gathers and adds with no
-branch.  ``train`` compiles the corpus in the same pass that builds the
-vectorizer, then stacks each mini-batch into B x T x K indices padded
-past every melody's length; the alpha/beta recursions run over the
-B x T x H batch, with a length mask holding beta at zero from each
-melody's last position.  The gradient is scattered with ``np.bincount``
-in the order of the per-position loop it replaced (melody, then
-position, each marginal before the gold count), and numpy reduces every
-batch row as it reduced the single melody, so models are bit-identical
-to the loop's.
+branch.  A batch stacks into B x T x K indices padded past every
+melody's length; the alpha/beta and Viterbi recursions run over the
+B x T x H batch, and a length mask holds beta at zero from each
+melody's last position and starts its Viterbi suffix maxima there.
+``train`` compiles the corpus in the same pass that builds the
+vectorizer.  The gradient is scattered with ``np.bincount`` in the
+order of the per-position loop it replaced (melody, then position,
+each marginal before the gold count), and numpy reduces every batch
+row as it reduced the single melody, so models, marginals and paths
+are bit-identical to the per-melody loops'.
 """
 
 from __future__ import annotations
@@ -42,21 +45,28 @@ import numpy as np
 from .errors import EmptyCorpus, ShapeMismatch
 from .score import Melody, StateSequence, TaggedCorpus, TagSet
 
+# (numerator, denominator, label) of each bucket's inclusive upper bound
 _DURATION_BUCKETS = (
-    (Fraction(1, 4), "(0,1/4]"),
-    (Fraction(1, 2), "(1/4,1/2]"),
-    (Fraction(1), "(1/2,1]"),
-    (Fraction(2), "(1,2]"),
-    (Fraction(3), "(2,3]"),
+    (1, 4, "(0,1/4]"),
+    (1, 2, "(1/4,1/2]"),
+    (1, 1, "(1/2,1]"),
+    (2, 1, "(1,2]"),
+    (3, 1, "(2,3]"),
 )
 
 _LAST_BUCKET = "(3,inf)"
 
 
 def duration_bucket(duration: Fraction) -> str:
-    """Half-open bucket label for a quarter-length duration."""
-    for upper, label in _DURATION_BUCKETS:
-        if duration <= upper:
+    """Half-open bucket label for a quarter-length duration.
+
+    ``n/d <= a/b`` is tested as ``n * b <= a * d`` on integers (a
+    Fraction's denominator is positive), which is exact and skips
+    Fraction's comparison machinery.
+    """
+    n, d = duration.numerator, duration.denominator
+    for upper_n, upper_d, label in _DURATION_BUCKETS:
+        if n * upper_d <= upper_n * d:
             return label
     return _LAST_BUCKET
 
@@ -322,38 +332,65 @@ def _forward_backward(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray):
     return log_alpha, log_beta, log_z
 
 
-def posterior_marginals(model: TaggerModel, melody: Melody) -> PredictionMatrix:
-    """P(y_t = k | O) for every position and tag, via forward-backward."""
-    E = emission_matrix(model, melody)
-    log_alpha, log_beta, log_z = _forward_backward(
-        E[None], model.transition_weights, np.array([len(melody)]))
-    marginals = np.exp(log_alpha[0] + log_beta[0] - log_z[0]).T
-    # exact within float error already; renormalize to pin column sums
-    marginals /= marginals.sum(axis=0, keepdims=True)
-    return PredictionMatrix(marginals)
-
-
-def viterbi_decode(model: TaggerModel, melody: Melody) -> StateSequence:
-    """Maximum-scoring path, smallest index sequence among ties.
+def _viterbi(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """B x T best paths of a padded batch; ties go to the smallest sequence.
 
     Runs the max recursion backward to get, for every (t, k), the best
     achievable suffix score starting in k, then selects greedily from
     the front.  Greedy forward selection over suffix maxima yields the
     lexicographically smallest argmax path, which forward Viterbi with
-    backpointers does not guarantee.
+    backpointers does not guarantee.  Each entry's suffix starts at its
+    last position; path values past an entry's length are meaningless.
     """
-    E = emission_matrix(model, melody)
-    Tr = model.transition_weights
-    T, H = E.shape
-    suffix = np.empty((T, H))
-    suffix[T - 1] = E[T - 1]
+    B, T, _ = E.shape
+    suffix = E.copy()
+    last = (lengths - 1)[:, None]
     for t in range(T - 2, -1, -1):
-        suffix[t] = E[t] + np.max(Tr + suffix[t + 1][None, :], axis=1)
-    path = np.empty(T, dtype=int)
-    path[0] = int(np.argmax(suffix[0]))
+        best = E[:, t] + np.max(Tr + suffix[:, t + 1, None, :], axis=2)
+        suffix[:, t] = np.where(t < last, best, suffix[:, t])
+    path = np.empty((B, T), dtype=int)
+    path[:, 0] = np.argmax(suffix[:, 0], axis=1)
     for t in range(1, T):
-        path[t] = int(np.argmax(Tr[path[t - 1]] + suffix[t]))
-    return StateSequence(tuple(int(k) for k in path))
+        path[:, t] = np.argmax(Tr[path[:, t - 1]] + suffix[:, t], axis=1)
+    return path
+
+
+def infer(model: TaggerModel, melodies: Sequence[Melody]
+          ) -> list[tuple[PredictionMatrix, StateSequence]]:
+    """Posterior marginals and Viterbi path of each melody, in one batch.
+
+    The melodies are compiled once and their emissions built once over
+    the padded batch; forward-backward and Viterbi then share them.
+    Each melody's H x T marginals are renormalized to pin their column
+    sums, and its path is the maximum-scoring one, smallest index
+    sequence among ties.
+    """
+    if not melodies:
+        return []
+    Tr = model.transition_weights
+    lengths = np.array([len(melody) for melody in melodies])
+    features = _compile(melodies, model.vectorizer)
+    E = _emissions(model.emission_weights, _pad(features, model.num_features))
+    log_alpha, log_beta, log_z = _forward_backward(E, Tr, lengths)
+    paths = _viterbi(E, Tr, lengths)
+    results = []
+    for b, T in enumerate(lengths):
+        marginals = np.exp(log_alpha[b, :T] + log_beta[b, :T] - log_z[b]).T
+        # exact within float error already; renormalize to pin column sums
+        marginals /= marginals.sum(axis=0, keepdims=True)
+        results.append((PredictionMatrix(marginals),
+                        StateSequence(tuple(int(k) for k in paths[b, :T]))))
+    return results
+
+
+def posterior_marginals(model: TaggerModel, melody: Melody) -> PredictionMatrix:
+    """P(y_t = k | O) for every position and tag, via forward-backward."""
+    return infer(model, [melody])[0][0]
+
+
+def viterbi_decode(model: TaggerModel, melody: Melody) -> StateSequence:
+    """Maximum-scoring path, smallest index sequence among ties."""
+    return infer(model, [melody])[0][1]
 
 
 # -- training --------------------------------------------------------------------

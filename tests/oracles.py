@@ -75,6 +75,70 @@ def brute_viterbi(E, Tr):
     return best_path, best_score
 
 
+def reference_indices(model, melody):
+    """Per position, the indices of its known features in sorted name order."""
+    indices = []
+    for t in range(len(melody)):
+        idx = [model.vectorizer.index(name)
+               for name in sorted(extract_features(melody, t))]
+        indices.append([i for i in idx if i is not None])
+    return indices
+
+
+def reference_emissions(model, indices):
+    """T x H emissions, one ``W[idx].sum(axis=0)`` per position."""
+    E = np.zeros((len(indices), len(model.tagset)))
+    for t, idx in enumerate(indices):
+        if idx:
+            E[t] = model.emission_weights[idx].sum(axis=0)
+    return E
+
+
+def reference_forward_backward(E, Tr):
+    """(log_alpha, log_beta, log_z) of one melody by per-position loops."""
+    T, H = E.shape
+    log_alpha = np.empty((T, H))
+    log_alpha[0] = E[0]
+    for t in range(1, T):
+        log_alpha[t] = E[t] + logsumexp(
+            log_alpha[t - 1][:, None] + Tr, axis=0)
+    log_beta = np.zeros((T, H))
+    for t in range(T - 2, -1, -1):
+        log_beta[t] = logsumexp(
+            Tr + (E[t + 1] + log_beta[t + 1])[None, :], axis=1)
+    log_z = logsumexp(log_alpha[T - 1], axis=0)
+    return log_alpha, log_beta, log_z
+
+
+def reference_marginals(model, melody):
+    """H x T posterior marginals of one melody, columns renormalized."""
+    E = reference_emissions(model, reference_indices(model, melody))
+    log_alpha, log_beta, log_z = reference_forward_backward(
+        E, model.transition_weights)
+    marginals = np.exp(log_alpha + log_beta - log_z).T
+    marginals /= marginals.sum(axis=0, keepdims=True)
+    return marginals
+
+
+def reference_viterbi(model, melody):
+    """Lexicographically smallest best path of one melody.
+
+    The backward suffix-max recursion, then greedy selection from the
+    front: among tied best paths it yields the smallest index sequence.
+    """
+    E = reference_emissions(model, reference_indices(model, melody))
+    Tr = model.transition_weights
+    T, H = E.shape
+    suffix = np.empty((T, H))
+    suffix[T - 1] = E[T - 1]
+    for t in range(T - 2, -1, -1):
+        suffix[t] = E[t] + np.max(Tr + suffix[t + 1][None, :], axis=1)
+    path = [int(np.argmax(suffix[0]))]
+    for t in range(1, T):
+        path.append(int(np.argmax(Tr[path[-1]] + suffix[t])))
+    return tuple(path)
+
+
 def reference_nll_and_gradient(model, batch, l2):
     """The training objective by per-melody, per-position loops.
 
@@ -83,7 +147,6 @@ def reference_nll_and_gradient(model, batch, l2):
     each marginal before the gold count at the same position.  The
     batched code keeps that order, so both agree bit for bit.
     """
-    H = len(model.tagset)
     W = model.emission_weights
     Tr = model.transition_weights
     grad_emission = np.zeros_like(W)
@@ -91,25 +154,9 @@ def reference_nll_and_gradient(model, batch, l2):
     loss = 0.0
     for melody, gold in batch:
         T = len(melody)
-        indices = []
-        for t in range(T):
-            idx = [model.vectorizer.index(name)
-                   for name in sorted(extract_features(melody, t))]
-            indices.append([i for i in idx if i is not None])
-        E = np.zeros((T, H))
-        for t, idx in enumerate(indices):
-            if idx:
-                E[t] = W[idx].sum(axis=0)
-        log_alpha = np.empty((T, H))
-        log_alpha[0] = E[0]
-        for t in range(1, T):
-            log_alpha[t] = E[t] + logsumexp(
-                log_alpha[t - 1][:, None] + Tr, axis=0)
-        log_beta = np.zeros((T, H))
-        for t in range(T - 2, -1, -1):
-            log_beta[t] = logsumexp(
-                Tr + (E[t + 1] + log_beta[t + 1])[None, :], axis=1)
-        log_z = logsumexp(log_alpha[T - 1], axis=0)
+        indices = reference_indices(model, melody)
+        E = reference_emissions(model, indices)
+        log_alpha, log_beta, log_z = reference_forward_backward(E, Tr)
         gold_score = E[0, gold[0]]
         for t in range(1, T):
             gold_score += Tr[gold[t - 1], gold[t]] + E[t, gold[t]]

@@ -8,10 +8,12 @@ whole pipeline runs exactly as a shell user would see it.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ornatag import tagger
 from ornatag.cli import main, parse_config
 from ornatag.errors import InputError
 from ornatag.model_io import load_model, save_model
@@ -29,8 +31,11 @@ from ornatag.tagger import (
     FeatureVectorizer,
     TaggerModel,
     TrainingMeta,
+    extract_features,
     posterior_marginals,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(argv, capsys):
@@ -464,6 +469,61 @@ class TestEval:
         assert "error:" in err
 
 
+@pytest.fixture(scope="module")
+def readme_pipeline(tmp_path_factory):
+    """The README quick-start's corpus, model and rule file."""
+    root = tmp_path_factory.mktemp("readme")
+    assert main(["synth", "--default", "--melodies", "200", "--seed", "7",
+                 "--out", str(root / "corpus.txt"),
+                 "--tagset-out", str(root / "tags.txt")]) == 0
+    assert main(["train", "--corpus", str(root / "corpus.txt"),
+                 "--tagset", str(root / "tags.txt"), "--epochs", "20",
+                 "--seed", "1", "--out", str(root / "model.txt")]) == 0
+    (root / "long.rules").write_text(
+        "IF duration(@t) > 3 THEN tag(@t) = trills WEIGHT 8\n")
+    return root
+
+
+class TestEvalPipeline:
+    """eval over a whole corpus: stored outputs and the feature pass."""
+
+    @pytest.mark.parametrize("rules, golden", [
+        (True, "readme_eval_rules.json"),
+        (False, "readme_eval_plain.json"),
+    ])
+    def test_readme_quick_start_stdout_is_unchanged(
+            self, readme_pipeline, capsys, rules, golden):
+        """The quick-start's eval prints the stored metrics byte for byte."""
+        capsys.readouterr()
+        argv = ["eval", "--model", str(readme_pipeline / "model.txt"),
+                "--corpus", str(readme_pipeline / "corpus.txt")]
+        if rules:
+            argv += ["--rules", str(readme_pipeline / "long.rules")]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out == (DATA / golden).read_text()
+
+    def test_features_extracted_once_per_token(self, workdir, capsys,
+                                               monkeypatch):
+        calls = []
+
+        def counting(melody, t):
+            calls.append(t)
+            return extract_features(melody, t)
+
+        corpus = parse_corpus((workdir / "corpus.txt").read_text(),
+                              parse_tagset((workdir / "tags.txt").read_text()))
+        rules = workdir / "eval.rules"
+        rules.write_text("IF duration(@t) > 1 THEN tag(@t) = trills\n")
+        monkeypatch.setattr(tagger, "extract_features", counting)
+        code, _, _ = run_cli([
+            "eval", "--model", str(workdir / "model.txt"),
+            "--corpus", str(workdir / "corpus.txt"), "--rules", str(rules),
+        ], capsys)
+        assert code == 0
+        assert len(calls) == corpus.token_count
+
+
 class TestSynth:
     """The synth subcommand: deterministic corpus generation."""
 
@@ -516,6 +576,19 @@ class TestSynth:
         ], capsys)
         assert code == 2
         assert "tempo" in err
+
+    def test_oversized_pool_key_exits_2(self, tmp_path, capsys):
+        """A duration_pool key past the digit limit is bad input, at once."""
+        profile = tmp_path / "p.json"
+        profile.write_text('{"duration_pool": {"1e2000000": 0.5, "1": 0.5}}')
+        code, out, err = run_cli([
+            "synth", "--profile", str(profile), "--melodies", "5",
+            "--seed", "1", "--out", str(tmp_path / "c.txt"),
+        ], capsys)
+        assert code == 2
+        assert out == ""
+        assert "1e2000000" in err
+        assert not (tmp_path / "c.txt").exists()
 
     def test_profile_and_default_conflict(self, tmp_path, capsys):
         """--profile and --default are mutually exclusive."""

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import oracles
-from ornatag.combine import CombinedMatrix, combine, decode, tag_with_knowledge
+from ornatag import combine as combine_module
+from ornatag.combine import (
+    CombinedMatrix,
+    combine,
+    decode,
+    tag_corpus,
+    tag_with_knowledge,
+)
 from ornatag.errors import ShapeMismatch
 from ornatag.rules import RuleSet, WeightMatrix, build_weight_matrix, parse_rules
 from ornatag.score import StateSequence, TagSet, parse_melody, parse_tagset
@@ -153,6 +160,66 @@ class TestTagWithKnowledge:
             fired = {f.target for f in result.firing_log}
             assert previous & fired <= decoded
             previous = decoded
+
+
+class TestTagCorpus:
+    """The streamed, batched pipeline over many melodies."""
+
+    RULES = ("IF duration(@t) > 3 THEN tag(@t) = trills WEIGHT 3\n"
+             "IF pred(@t-1) == trills THEN tag(@t) = none WEIGHT 0.5\n"
+             "IF duration(@t) >= 1 AND duration(@t+1) < 1 "
+             "THEN tag(@t+1) = mordent WEIGHT 2\n")
+
+    def corpus(self, n):
+        model, _ = trained_pipeline(seed=7)
+        rng = np.random.default_rng(8)
+        melodies = [oracles.random_melody(rng, int(length))
+                    for length in rng.integers(1, 40, size=n)]
+        return model, parse_rules(self.RULES, model.tagset), melodies
+
+    def test_equals_tag_with_knowledge_across_batches(self):
+        n = 2 * combine_module._BATCH + 3
+        model, rules, melodies = self.corpus(n)
+        results = list(tag_corpus(model, rules, iter(melodies)))
+        assert len(results) == n
+        assert sum(len(result.firing_log) for result in results) > n
+        for melody, got in zip(melodies, results):
+            want = tag_with_knowledge(model, rules, melody)
+            assert tuple(got.final) == tuple(want.final)
+            assert tuple(got.base) == tuple(want.base)
+            assert got.firing_log == want.firing_log
+            for name in ("p1", "p2", "combined"):
+                assert np.array_equal(getattr(got, name).values,
+                                      getattr(want, name).values)
+            assert np.array_equal(got.p2.values,
+                                  oracles.reference_marginals(model, melody))
+            assert tuple(got.base) == oracles.reference_viterbi(model, melody)
+
+    def test_reads_at_most_one_batch_ahead(self):
+        model, rules, melodies = self.corpus(3 * combine_module._BATCH)
+        taken = []
+
+        def source():
+            for melody in melodies:
+                taken.append(melody)
+                yield melody
+
+        stream = tag_corpus(model, rules, source())
+        next(stream)
+        assert len(taken) == combine_module._BATCH
+        for _ in range(combine_module._BATCH):
+            next(stream)
+        assert len(taken) == 2 * combine_module._BATCH
+
+    def test_empty_input_yields_nothing(self):
+        model, rules, _ = self.corpus(0)
+        assert list(tag_corpus(model, rules, [])) == []
+
+    def test_mismatched_tagset_rejected(self):
+        model, _, melodies = self.corpus(3)
+        other = RuleSet(TagSet(("x", "y")), ())
+        with pytest.raises(ShapeMismatch):
+            list(tag_corpus(model, other, melodies))
 
 
 class TestStoredFlipFixture:

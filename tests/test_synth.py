@@ -1,5 +1,6 @@
 """Synthetic corpus generation, splitting, metrics, and their rendering."""
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from ornatag.score import (
     StateSequence,
     TaggedCorpus,
     TagSet,
+    digit_limit,
     serialize_corpus,
 )
 from ornatag.synth import (
@@ -429,6 +431,33 @@ class TestParseProfile:
     def test_bad_pool_fraction_rejected(self):
         with pytest.raises(InputError):
             parse_profile('{"duration_pool": {"1/0": 1.0}}')
+
+    @pytest.mark.parametrize("key", [
+        "1e2000000", "1e-2000000", "1E+8000000", "{long}", "1/{long}",
+        "0.{long}",
+    ])
+    def test_oversized_pool_key_rejected(self, key):
+        """Keys past the digit limit fail before Fraction parses them."""
+        key = key.format(long="1" * (digit_limit() + 1))
+        text = json.dumps({"duration_pool": {key: 0.5, "1": 0.5}})
+        with pytest.raises(InputError) as excinfo:
+            parse_profile(text)
+        assert key[:9] in str(excinfo.value)
+
+    @pytest.mark.parametrize("key, value", [
+        ("1/4", Fraction(1, 4)), ("0.25", Fraction(1, 4)),
+        ("2.5e-1", Fraction(1, 4)), ("1e1", Fraction(10)), ("3", Fraction(3)),
+        ("{at_limit}", Fraction(int("1" * digit_limit()))),
+    ])
+    def test_pool_keys_within_the_limit_accepted(self, key, value):
+        key = key.format(at_limit="1" * digit_limit())
+        profile = parse_profile(
+            json.dumps({"duration_pool": {key: 0.5, "1/2": 0.5}}))
+        assert profile.duration_pool == ((value, 0.5), (Fraction(1, 2), 0.5))
+
+    def test_non_numeric_pool_probability_rejected(self):
+        with pytest.raises(InputError):
+            parse_profile('{"duration_pool": {"1": [1.0]}}')
 
     def test_planted_rule_with_unknown_tag_rejected(self):
         from ornatag.errors import UnknownTag

@@ -36,6 +36,7 @@ from ornatag.tagger import (
     emission_matrix,
     extract_features,
     flatten_weights,
+    infer,
     nll_and_gradient,
     posterior_marginals,
     train,
@@ -97,6 +98,32 @@ class TestExtractFeatures:
         assert duration_bucket(Fraction(3)) == "(2,3]"
         assert duration_bucket(Fraction(7, 2)) == "(3,inf)"
         assert duration_bucket(Fraction(100)) == "(3,inf)"
+
+    def test_duration_bucket_matches_fraction_comparisons(self):
+        """Integer cross-products give the labels Fraction comparisons give."""
+        bounds = ((Fraction(1, 4), "(0,1/4]"), (Fraction(1, 2), "(1/4,1/2]"),
+                  (Fraction(1), "(1/2,1]"), (Fraction(2), "(1,2]"),
+                  (Fraction(3), "(2,3]"))
+
+        def by_fractions(duration):
+            for upper, label in bounds:
+                if duration <= upper:
+                    return label
+            return "(3,inf)"
+
+        rng = np.random.default_rng(17)
+        values = []
+        for upper, _ in bounds:
+            for eps in (Fraction(1, 10 ** 30), Fraction(1, 1000),
+                        Fraction(1, 7)):
+                values += [upper, upper - eps, upper + eps]
+            # equal value, unreduced-looking construction
+            values.append(Fraction(upper.numerator * 9, upper.denominator * 9))
+        values += [Fraction(int(n), int(d)) for n, d in
+                   rng.integers(1, 10 ** 6, size=(2000, 2))]
+        values += [Fraction(1, 10 ** 40), Fraction(10 ** 40)]
+        for value in values:
+            assert duration_bucket(value) == by_fractions(value), value
 
 
 class TestVectorizer:
@@ -243,6 +270,89 @@ class TestViterbi:
         path = viterbi_decode(model, melody)
         assert len(path) == 5
         assert all(0 <= k < 4 for k in path)
+
+
+class TestBatchedInference:
+    """``infer`` over a padded batch against the single-melody references."""
+
+    @staticmethod
+    def assert_matches_references(model, melodies):
+        results = infer(model, melodies)
+        assert len(results) == len(melodies)
+        for melody, (p2, path) in zip(melodies, results):
+            # the public single-melody calls are infer at B = 1
+            assert np.array_equal(p2.values,
+                                  oracles.reference_marginals(model, melody))
+            assert np.array_equal(p2.values,
+                                  posterior_marginals(model, melody).values)
+            assert tuple(path) == oracles.reference_viterbi(model, melody)
+            assert tuple(path) == tuple(viterbi_decode(model, melody))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_single_melody_references(self, seed):
+        """Batches mix lengths 1 to 70 and unseen features; H runs 2 to 10."""
+        rng = np.random.default_rng(100 + seed)
+        for h in range(2 + seed % 2, 11, 2):
+            lengths = [1, 70] + [int(rng.integers(1, 71)) for _ in range(6)]
+            melodies = [oracles.random_melody(rng, n)
+                        for n in rng.permutation(lengths)]
+            # built from two melodies: the others bring unseen features
+            vectorizer = FeatureVectorizer.build(melodies[:2])
+            model = TaggerModel(
+                oracles.random_tagset(h), vectorizer,
+                rng.normal(0.0, 2.0, size=(len(vectorizer), h)),
+                rng.normal(0.0, 2.0, size=(h, h)), TrainingMeta(0, 0.0, 0))
+            self.assert_matches_references(model, melodies)
+
+    @pytest.mark.parametrize("h", [2, 3, 7, 10])
+    def test_all_zero_model_takes_the_smallest_tied_path(self, h):
+        rng = np.random.default_rng(h)
+        melodies = [oracles.random_melody(rng, n) for n in (5, 1, 70, 12)]
+        model = zero_model(melodies[0], h=h)
+        self.assert_matches_references(model, melodies)
+        for melody, (p2, path) in zip(melodies, infer(model, melodies)):
+            assert tuple(path) == (0,) * len(melody)
+            np.testing.assert_allclose(p2.values, 1.0 / h, rtol=0, atol=1e-12)
+
+    def test_tied_transitions_in_a_batch(self):
+        """Two tied best paths per pair of notes; the smaller one wins."""
+        melodies = [melody_from_tokens(["C4:1", "D4:1"] * n) for n in
+                    (1, 3, 2)]
+        model = replace(zero_model(melodies[1], h=2),
+                        transition_weights=np.array([[0.0, 5.0], [5.0, 0.0]]))
+        self.assert_matches_references(model, melodies)
+        assert tuple(infer(model, melodies)[0][1]) == (0, 1)
+
+    def test_splitting_a_corpus_into_batches_changes_nothing(self):
+        rng = np.random.default_rng(31)
+        melodies = [oracles.random_melody(rng, int(n))
+                    for n in rng.integers(1, 40, size=37)]
+        model = oracles.random_model(rng, melodies[0], h=5, scale=2.0)
+        whole = infer(model, melodies)
+        for size in (1, 5, 16):
+            parts = [result for start in range(0, len(melodies), size)
+                     for result in infer(model, melodies[start:start + size])]
+            for (p2, path), (q2, other) in zip(whole, parts):
+                assert np.array_equal(p2.values, q2.values)
+                assert tuple(path) == tuple(other)
+
+    def test_empty_batch(self):
+        melody = melody_from_tokens(["C4:1"])
+        assert infer(zero_model(melody), []) == []
+
+    def test_features_extracted_once_per_token(self, monkeypatch):
+        calls = []
+
+        def counting(melody, t):
+            calls.append(t)
+            return extract_features(melody, t)
+
+        rng = np.random.default_rng(3)
+        melodies = [oracles.random_melody(rng, n) for n in (4, 9, 1)]
+        model = oracles.random_model(rng, melodies[0], h=3)
+        monkeypatch.setattr(tagger, "extract_features", counting)
+        infer(model, melodies)
+        assert len(calls) == 14
 
 
 class TestNllAndGradient:
