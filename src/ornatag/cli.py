@@ -26,6 +26,7 @@ from .score import (
     parse_tagset,
     serialize_corpus,
     serialize_note,
+    serialize_tagset,
 )
 from .synth import SynthProfile, generate_synthetic, parse_profile
 from .tagger import TrainConfig, train
@@ -194,8 +195,7 @@ def cmd_synth(args) -> int:
     corpus = generate_synthetic(profile, args.melodies, args.seed)
     _write(args.out, serialize_corpus(corpus))
     if args.tagset_out:
-        _write(args.tagset_out,
-               "".join(f"{tag}\n" for tag in profile.tagset))
+        _write(args.tagset_out, serialize_tagset(profile.tagset))
     if len(corpus) == 0:
         print("warning: generated an empty corpus (0 melodies)",
               file=sys.stderr)

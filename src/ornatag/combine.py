@@ -17,27 +17,16 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .rules import Firing, RuleSet, WeightMatrix, build_weight_matrix
-from .score import Melody, StateSequence, TagSet
+from .score import Melody, StateSequence, TagMatrix, TagSet
 from .tagger import PredictionMatrix, TaggerModel, infer
 
 
-@dataclass(frozen=True, eq=False)
-class CombinedMatrix:
+class CombinedMatrix(TagMatrix):
     """Elementwise product p1 * p2; nonnegative, unnormalized."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 2:
-            raise ValueError(f"expected a 2-d array, got ndim={values.ndim}")
+    def _check(self, values: np.ndarray) -> None:
         if np.any(values < 0):
             raise ValueError("combined scores must be nonnegative")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 def combine(p1: WeightMatrix, p2: PredictionMatrix) -> CombinedMatrix:

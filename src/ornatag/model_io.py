@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import zlib
-from typing import IO, Union
 
 import numpy as np
 
@@ -33,8 +32,6 @@ from .score import TagSet
 from .tagger import FeatureVectorizer, TaggerModel, TrainingMeta
 
 MAGIC = "ORNATAG-MODEL v1"
-
-Sink = Union[str, os.PathLike, IO[str]]
 
 
 def _format_row(row: np.ndarray) -> str:
@@ -160,21 +157,13 @@ def _read_matrix(reader: _Reader, rows: int, cols: int,
     return out
 
 
-def save_model(model: TaggerModel, sink: Sink) -> None:
-    """Write the canonical form to a path or text stream."""
-    text = serialize_model(model)
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        with open(sink, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+def save_model(model: TaggerModel, path: str | os.PathLike) -> None:
+    """Write the canonical form to ``path``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(serialize_model(model))
 
 
-def load_model(source: Sink) -> TaggerModel:
-    """Read a model from a path or text stream."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            text = handle.read()
-    return parse_model(text)
+def load_model(path: str | os.PathLike) -> TaggerModel:
+    """Read a model from ``path``."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        return parse_model(handle.read())

@@ -39,6 +39,7 @@ from .errors import NonpositiveWeight, RuleSyntaxError, UnknownFeature, UnknownT
 from .score import (
     Melody,
     StateSequence,
+    TagMatrix,
     TagSet,
     digit_limit,
     exceeds_digit_limit,
@@ -130,23 +131,12 @@ class RuleSet:
         return self.h1 if rule.rule_class == 1 else self.h2
 
 
-@dataclass(frozen=True, eq=False)
-class WeightMatrix:
-    """Strictly positive H x T multipliers, rows = tags, columns = positions."""
+class WeightMatrix(TagMatrix):
+    """Rule multipliers p1: strictly positive."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 2:
-            raise ValueError(f"expected a 2-d array, got ndim={values.ndim}")
+    def _check(self, values: np.ndarray) -> None:
         if not np.all(values > 0):
             raise ValueError("weight matrix entries must be strictly positive")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 @dataclass(frozen=True)

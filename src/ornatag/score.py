@@ -1,4 +1,4 @@
-"""Domain types for notes, melodies, tag sets, and tagged corpora.
+"""Domain types for notes, melodies, tag sets, tagged corpora and matrices.
 
 Notes carry an exact rational duration in quarter lengths (a quarter
 note is 1 ql, a whole note 4 ql) and a chromatic pitch given as
@@ -21,8 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
+
 from .errors import (
     EmptyCorpus,
+    InputError,
     InvalidDuration,
     InvalidOctave,
     InvalidStep,
@@ -187,6 +190,29 @@ class TaggedCorpus:
         return sum(len(m) for m, _ in self.entries)
 
 
+@dataclass(frozen=True, eq=False)
+class TagMatrix:
+    """H x T floats, rows = tags, columns = positions; never NaN."""
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", values)
+        if values.ndim != 2:
+            raise ValueError(f"expected a 2-d array, got ndim={values.ndim}")
+        if np.isnan(values).any():
+            raise ValueError("matrix entries must not be NaN")
+        self._check(values)
+
+    def _check(self, values: np.ndarray) -> None:
+        """A subclass's range rule: raise ValueError when it fails."""
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.values.shape
+
+
 # -- note token parsing --------------------------------------------------------
 
 
@@ -260,10 +286,9 @@ def _parse_duration(token: str, pos: int) -> Fraction:
         raise MalformedToken(
             f"expected a duration 'int' or 'int/int': {token!r}",
             token=token, column=pos + 1)
-    limit = digit_limit()
-    if any(len(run) > limit for run in match.groups() if run):
+    if any(exceeds_digit_limit(run) for run in match.groups() if run):
         raise InvalidDuration(
-            f"duration has more than {limit} digits in a row",
+            f"duration has more than {digit_limit()} digits in a row",
             column=pos + 1)
     num = int(match.group(1))
     den = int(match.group(2)) if match.group(2) else 1
@@ -339,16 +364,20 @@ def parse_melody(text: str) -> Melody:
     for lineno, data, blank in iter_data_lines(text):
         if blank:
             continue
-        for token in data.split():
-            try:
-                notes.append(parse_note(token))
-            except (MalformedToken, InvalidStep, InvalidOctave,
-                    InvalidDuration) as err:
-                err.line = lineno
-                raise
+        notes.extend(_parse_located_note(token, lineno)
+                     for token in data.split())
     if not notes:
         raise EmptyCorpus("melody file contains no notes")
     return Melody(tuple(notes))
+
+
+def _parse_located_note(token: str, lineno: int) -> Note:
+    """:func:`parse_note`, with any error located at line ``lineno``."""
+    try:
+        return parse_note(token)
+    except InputError as err:
+        err.line = lineno
+        raise
 
 
 def serialize_melody(melody: Melody) -> str:
@@ -379,11 +408,7 @@ def parse_corpus(text: str, tagset: TagSet) -> TaggedCorpus:
             raise LengthMismatch(
                 f"expected 'note<TAB>tag', got {data!r}", line=lineno)
         token, tag = fields
-        try:
-            note = parse_note(token)
-        except (MalformedToken, InvalidStep, InvalidOctave, InvalidDuration) as err:
-            err.line = lineno
-            raise
+        note = _parse_located_note(token, lineno)
         if tag not in tagset:
             raise UnknownTag(f"unknown tag {tag!r}", token=tag, line=lineno)
         notes.append(note)

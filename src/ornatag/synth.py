@@ -92,24 +92,28 @@ class SynthProfile:
         if not (12 <= lo <= hi <= 127):
             raise InputError(f"pitch range [{lo}, {hi}] outside MIDI [12, 127]")
         if not self.duration_pool:
-            raise InputError("duration pool is empty")
+            raise InputError("duration_pool is empty")
+        # each check is written so that NaN and infinities fail it
         total = sum(p for _, p in self.duration_pool)
-        if any(p < 0 for _, p in self.duration_pool) or abs(total - 1) > 1e-12:
+        if (not all(p >= 0 for _, p in self.duration_pool)
+                or not abs(total - 1) <= 1e-12):
             raise InputError(
-                f"duration pool probabilities must be nonnegative and sum "
+                f"duration_pool probabilities must be nonnegative and sum "
                 f"to 1, got {total!r}")
         if any(d <= 0 for d, _ in self.duration_pool):
             raise InputError("durations must be positive")
         if markov.shape != (h, h):
             raise InputError(
                 f"tag_markov shape {markov.shape} != ({h}, {h})")
-        if np.any(markov < 0) or np.any(np.abs(markov.sum(axis=1) - 1) > 1e-12):
+        if not (np.all(markov >= 0)
+                and np.all(np.abs(markov.sum(axis=1) - 1) <= 1e-12)):
             raise InputError("tag_markov rows must be stochastic")
         for tag, buckets in self.emission_bias.items():
             if tag not in self.tagset:
                 raise InputError(f"emission_bias names unknown tag {tag!r}")
-            if any(m < 0 for m in buckets.values()):
-                raise InputError("emission_bias multipliers must be nonnegative")
+            if not all(0 <= m < np.inf for m in buckets.values()):
+                raise InputError(
+                    "emission_bias multipliers must be finite and nonnegative")
         length_lo, length_hi = self.melody_length_range
         if not 1 <= length_lo <= length_hi:
             raise InputError(
@@ -217,8 +221,8 @@ def parse_profile(text: str) -> SynthProfile:
         }
     """
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as err:
+        raw = json.loads(text, parse_int=_json_int)
+    except (ValueError, RecursionError) as err:
         raise InputError(f"profile is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise InputError("profile must be a JSON object")
@@ -228,7 +232,7 @@ def parse_profile(text: str) -> SynthProfile:
     kwargs = {}
     if "tags" in raw:
         try:
-            kwargs["tagset"] = TagSet(tuple(raw["tags"]))
+            kwargs["tagset"] = TagSet(tuple(_strings(raw["tags"], "tags")))
         except ValueError as err:
             raise InputError(f"bad tags: {err}") from err
     tagset = kwargs.get("tagset", DEFAULT_TAGS)
@@ -241,30 +245,46 @@ def parse_profile(text: str) -> SynthProfile:
         pool = raw["duration_pool"]
         if not isinstance(pool, dict):
             raise InputError("duration_pool must be an object")
-        try:
-            kwargs["duration_pool"] = tuple(
-                (_duration_key(key), float(value))
-                for key, value in pool.items())
-        except (ValueError, TypeError, ZeroDivisionError) as err:
-            raise InputError(f"bad duration_pool: {err}") from err
+        kwargs["duration_pool"] = _numbers("duration_pool", lambda: tuple(
+            (_duration_key(key), float(value))
+            for key, value in pool.items()))
     if "tag_markov" in raw:
-        kwargs["tag_markov"] = np.asarray(raw["tag_markov"], dtype=float)
+        kwargs["tag_markov"] = _numbers(
+            "tag_markov", lambda: np.array(raw["tag_markov"], dtype=float))
     if "emission_bias" in raw:
         bias = raw["emission_bias"]
         if not isinstance(bias, dict) or not all(
                 isinstance(v, dict) for v in bias.values()):
             raise InputError("emission_bias must map tags to bucket objects")
-        kwargs["emission_bias"] = {
+        kwargs["emission_bias"] = _numbers("emission_bias", lambda: {
             tag: {bucket: float(mult) for bucket, mult in buckets.items()}
-            for tag, buckets in bias.items()}
+            for tag, buckets in bias.items()})
     if "planted_rules" in raw:
-        lines = raw["planted_rules"]
-        if (not isinstance(lines, list)
-                or not all(isinstance(s, str) for s in lines)):
-            raise InputError("planted_rules must be a list of rule strings")
+        lines = _strings(raw["planted_rules"], "planted_rules")
         kwargs["planted_rules"] = parse_rules(
             "".join(f"{line}\n" for line in lines), tagset)
     return SynthProfile(**kwargs)
+
+
+def _json_int(text: str) -> int | float:
+    """A JSON integer; past the digit limit it reads as a float, as a
+    JSON real of that size does, so the key's own check rejects it."""
+    return float(text) if exceeds_digit_limit(text) else int(text)
+
+
+def _numbers(key: str, convert):
+    """``convert()``, with a failed number conversion naming ``key``."""
+    try:
+        return convert()
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError) as err:
+        raise InputError(f"bad {key}: {err}") from err
+
+
+def _strings(value, key: str) -> list[str]:
+    if not isinstance(value, list) or not all(
+            isinstance(v, str) for v in value):
+        raise InputError(f"{key} must be a list of strings")
+    return value
 
 
 def _duration_key(key: str) -> Fraction:

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyCorpus, ShapeMismatch
-from .score import Melody, StateSequence, TaggedCorpus, TagSet
+from .score import Melody, StateSequence, TaggedCorpus, TagMatrix, TagSet
 
 # (numerator, denominator, label) of each bucket's inclusive upper bound
 _DURATION_BUCKETS = (
@@ -114,10 +114,6 @@ class FeatureVectorizer:
     def __init__(self):
         self._indices: dict[str, int] = {}
         self._frozen = False
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -200,26 +196,15 @@ class TaggerModel:
         return len(self.vectorizer)
 
 
-@dataclass(frozen=True, eq=False)
-class PredictionMatrix:
-    """Posterior marginals: H rows (tags) by T columns (positions)."""
+class PredictionMatrix(TagMatrix):
+    """Posterior marginals p2: entries in [0, 1], columns summing to 1."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 2:
-            raise ValueError(f"expected a 2-d array, got ndim={values.ndim}")
+    def _check(self, values: np.ndarray) -> None:
         if np.any(values < 0) or np.any(values > 1):
             raise ValueError("entries must lie in [0, 1]")
         sums = values.sum(axis=0)
         if not np.allclose(sums, 1.0, rtol=0, atol=1e-9):
             raise ValueError(f"columns must sum to 1 within 1e-9: {sums}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 def _compile(melodies: Iterable[Melody], vectorizer: FeatureVectorizer,

@@ -485,7 +485,7 @@ def readme_pipeline(tmp_path_factory):
 
 
 class TestEvalPipeline:
-    """eval over a whole corpus: stored outputs and the feature pass."""
+    """The README quick-start's stored outputs, and eval's feature pass."""
 
     @pytest.mark.parametrize("rules, golden", [
         (True, "readme_eval_rules.json"),
@@ -502,6 +502,36 @@ class TestEvalPipeline:
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert out == (DATA / golden).read_text()
+
+    def test_readme_quick_start_tag_set_is_unchanged(self, readme_pipeline):
+        assert (readme_pipeline / "tags.txt").read_bytes() == \
+            (DATA / "readme_tags.txt").read_bytes()
+
+    @pytest.mark.parametrize("rules, golden", [
+        (True, "readme_tag_rules"),
+        (False, "readme_tag_plain"),
+    ])
+    def test_readme_quick_start_tag_outputs_are_unchanged(
+            self, readme_pipeline, tmp_path, capsys, rules, golden):
+        """The quick-start's tag writes the stored files byte for byte."""
+        melody = tmp_path / "tune.melody"
+        melody.write_text("C5:1 D5:1/2 E5:4 F5:1/2 G5:2\n")
+        out = tmp_path / "out.txt"
+        argv = ["tag", "--model", str(readme_pipeline / "model.txt"),
+                "--melody", str(melody), "--out", str(out)]
+        if rules:
+            argv += ["--rules", str(readme_pipeline / "long.rules"),
+                     "--explain"]
+        code, stdout, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert stdout == ""
+        assert out.read_bytes() == (DATA / f"{golden}.txt").read_bytes()
+        explain = Path(f"{out}.explain")
+        if rules:
+            assert explain.read_bytes() == \
+                (DATA / f"{golden}.explain").read_bytes()
+        else:
+            assert not explain.exists()
 
     def test_features_extracted_once_per_token(self, workdir, capsys,
                                                monkeypatch):
@@ -588,6 +618,28 @@ class TestSynth:
         assert code == 2
         assert out == ""
         assert "1e2000000" in err
+        assert not (tmp_path / "c.txt").exists()
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"pitch_range": [60, %s]}' % ("1" * 5000), "pitch_range"),
+        ('{"tag_markov": %s%s}' % ("[" * 10**5, "]" * 10**5), "JSON"),
+        ('{"tags": ["a", "b"], "tag_markov": [[0.5, 0.5], [0.5]]}',
+         "tag_markov"),
+        ('{"emission_bias": {"trills": {"(3,inf)": null}}}', "emission_bias"),
+        ('{"duration_pool": {"1": NaN, "2": 1.0}}', "duration_pool"),
+    ], ids=["huge-int", "deep-nesting", "ragged-markov", "null-bias",
+            "nan-pool"])
+    def test_bad_profile_value_exits_2(self, tmp_path, capsys, text, named):
+        """Each bad profile value is located input, never exit 3."""
+        profile = tmp_path / "p.json"
+        profile.write_text(text)
+        code, out, err = run_cli([
+            "synth", "--profile", str(profile), "--melodies", "5",
+            "--seed", "1", "--out", str(tmp_path / "c.txt"),
+        ], capsys)
+        assert code == 2
+        assert out == ""
+        assert named in err
         assert not (tmp_path / "c.txt").exists()
 
     def test_profile_and_default_conflict(self, tmp_path, capsys):

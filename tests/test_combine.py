@@ -16,7 +16,13 @@ from ornatag.combine import (
 )
 from ornatag.errors import ShapeMismatch
 from ornatag.rules import RuleSet, WeightMatrix, build_weight_matrix, parse_rules
-from ornatag.score import StateSequence, TagSet, parse_melody, parse_tagset
+from ornatag.score import (
+    StateSequence,
+    TagMatrix,
+    TagSet,
+    parse_melody,
+    parse_tagset,
+)
 from ornatag.tagger import (
     PredictionMatrix,
     TrainConfig,
@@ -77,6 +83,61 @@ class TestDecode:
         c = CombinedMatrix(np.ones((3, 2)))
         with pytest.raises(ShapeMismatch):
             decode(c, TAGS4)
+
+
+@pytest.mark.parametrize("cls, valid, out_of_range", [
+    (PredictionMatrix, [[0.25, 1.0], [0.75, 0.0]],
+     [[[-0.5], [1.5]], [[1.5], [-0.5]], [[0.5], [0.4]], [[0.5], [0.6]]]),
+    (WeightMatrix, [[0.5, np.inf], [1.0, 8.0]],
+     [[[0.0], [1.0]], [[-2.0], [1.0]], [[-np.inf], [1.0]]]),
+    (CombinedMatrix, [[0.0, np.inf], [0.5, 3.0]],
+     [[[-1e-300], [1.0]], [[-np.inf], [1.0]]]),
+], ids=["PredictionMatrix", "WeightMatrix", "CombinedMatrix"])
+class TestMatrixInvariants:
+    """p2, p1 and p1 * p2 share one checked H x T type."""
+
+    def test_valid_values_are_kept_as_floats(self, cls, valid, out_of_range):
+        matrix = cls(valid)
+        assert isinstance(matrix, TagMatrix)
+        assert matrix.shape == (2, 2)
+        assert matrix.values.dtype == np.float64
+        np.testing.assert_array_equal(matrix.values, valid)
+
+    @pytest.mark.parametrize("values", [
+        [0.5, 0.5], [[[1.0]], [[0.0]]], 1.0, np.ones((1, 1, 1, 1))])
+    def test_ndim_other_than_two_is_rejected(self, cls, valid, out_of_range,
+                                             values):
+        with pytest.raises(ValueError, match="2-d"):
+            cls(values)
+
+    def test_nan_is_rejected_in_every_cell(self, cls, valid, out_of_range):
+        for row, col in np.ndindex(2, 2):
+            values = np.array(valid, dtype=float)
+            values[row, col] = np.nan
+            with pytest.raises(ValueError, match="NaN"):
+                cls(values)
+
+    def test_each_range_violation_is_rejected(self, cls, valid, out_of_range):
+        for values in out_of_range:
+            with pytest.raises(ValueError):
+                cls(values)
+
+
+class TestFusedMatrix:
+    """What combine() may hand to decode()."""
+
+    def test_prediction_values_are_a_combined_matrix(self):
+        p2 = prediction([[0.1, 0.2, 0.3, 0.4], [1.0, 0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(CombinedMatrix(p2.values).values,
+                                      p2.values)
+
+    def test_infinite_weight_times_zero_is_rejected(self):
+        """inf * 0 is NaN; it raises rather than reach the argmax."""
+        p1 = WeightMatrix([[np.inf], [1.0]])
+        p2 = PredictionMatrix([[0.0], [1.0]])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                          match="NaN"):
+            combine(p1, p2)
 
 
 def trained_pipeline(seed=0, h=4, epochs=8):

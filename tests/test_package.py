@@ -1,11 +1,14 @@
 """The package root: a small, documented set of names."""
 
+import ast
 import re
 from pathlib import Path
 
 import ornatag
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+SOURCES = sorted((ROOT / "src" / "ornatag").glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -18,3 +21,20 @@ def test_readme_library_names_are_exported():
     used = set(re.findall(r"\bornatag\.(\w+)", library.split("```")[1]))
     assert used
     assert used <= set(ornatag.__all__)
+
+
+def test_every_public_definition_has_a_user():
+    """Each public module-level def or class in src/ is named somewhere
+    besides its own definition: src/, benchmarks/, the acceptance
+    tests, the README or pyproject.toml.  Unit tests do not count."""
+    places = SOURCES + sorted((ROOT / "benchmarks").rglob("*.py")) + [
+        ROOT / "tests" / "test_acceptance.py", README, ROOT / "pyproject.toml"]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in places)
+    unused = []
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and len(re.findall(rf"\b{node.name}\b", text)) < 2):
+                unused.append(f"{path.name}:{node.name}")
+    assert unused == []

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import melody_from_tokens
@@ -36,6 +37,36 @@ from ornatag.synth import (
     split,
 )
 from ornatag.tagger import TrainConfig, duration_bucket, train
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12)
+# values shaped like each profile key's schema, with arbitrary leaves
+PROFILE_VALUES = {
+    "tags": st.lists(st.sampled_from(["none", "trills", "x y"]) | JSON_SCALARS,
+                     max_size=4),
+    "pitch_range": st.lists(JSON_SCALARS, max_size=3),
+    "melody_length_range": st.lists(JSON_SCALARS, max_size=3),
+    "duration_pool": st.dictionaries(
+        st.sampled_from(["1/4", "1", "4", "0", "1/0", "-1"])
+        | st.text(max_size=6),
+        JSON_SCALARS, max_size=4),
+    "tag_markov": st.lists(st.lists(JSON_SCALARS, min_size=4, max_size=4),
+                           min_size=4, max_size=4),
+    "emission_bias": st.dictionaries(
+        st.sampled_from(DEFAULT_TAGS.tags) | st.text(max_size=6),
+        st.dictionaries(st.sampled_from(["(3,inf)", "(0,1/4]"]), JSON_VALUES,
+                        max_size=3) | JSON_VALUES,
+        max_size=3),
+    "planted_rules": st.lists(
+        st.sampled_from(["IF duration(@t) > 3 THEN tag(@t) = trills",
+                         "IF pred(@t) == none THEN tag(@t) = trills"])
+        | JSON_SCALARS, max_size=3),
+}
 
 PLANTED = parse_rules(
     "IF duration(@t) > 3 THEN tag(@t) = trills\n", DEFAULT_TAGS)
@@ -75,6 +106,17 @@ class TestSynthProfile:
             "IF pred(@t) == none THEN tag(@t) = trills\n", DEFAULT_TAGS)
         with pytest.raises(InputError):
             SynthProfile(planted_rules=rules)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_numbers_rejected(self, bad):
+        markov = default_markov(4)
+        markov[1, 2] = bad
+        with pytest.raises(InputError):
+            SynthProfile(tag_markov=markov)
+        with pytest.raises(InputError):
+            SynthProfile(duration_pool=((Fraction(1), bad), (Fraction(2), 1.0)))
+        with pytest.raises(InputError):
+            SynthProfile(emission_bias={"trills": {"(3,inf)": bad}})
 
     def test_planted_rules_must_share_tagset(self):
         other = TagSet(("a", "b"))
@@ -458,6 +500,41 @@ class TestParseProfile:
     def test_non_numeric_pool_probability_rejected(self):
         with pytest.raises(InputError):
             parse_profile('{"duration_pool": {"1": [1.0]}}')
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"pitch_range": [60, %s]}' % ("1" * 5000), "pitch_range"),
+        ('{"tags": [1, 2]}', "tags"),
+        ('{"tag_markov": [["a"]]}', "tag_markov"),
+        ('{"tags": ["a", "b"], "tag_markov": [[0.5, 0.5], [0.5]]}',
+         "tag_markov"),
+        ('{"emission_bias": {"trills": {"(3,inf)": "x"}}}', "emission_bias"),
+        ('{"emission_bias": {"trills": {"(3,inf)": null}}}', "emission_bias"),
+        ('{"tags": ["a", "b"], "tag_markov": [[NaN, 0.5], [0.5, 0.5]]}',
+         "tag_markov"),
+        ('{"duration_pool": {"1": NaN, "2": 1.0}}', "duration_pool"),
+    ], ids=["huge-int", "int-tags", "str-markov", "ragged-markov", "str-bias",
+            "null-bias", "nan-markov", "nan-pool"])
+    def test_bad_values_name_their_key(self, text, key):
+        with pytest.raises(InputError, match=key):
+            parse_profile(text)
+
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(InputError, match="JSON"):
+            parse_profile('{"tag_markov": %s%s}' % ("[" * 10**5, "]" * 10**5))
+
+    @pytest.mark.parametrize("key", sorted(PROFILE_VALUES))
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_arbitrary_json_under_a_key_is_input_error(self, key, data):
+        """Any JSON value under any key parses or raises InputError, and
+        a profile that parses generates or raises InputError."""
+        text = json.dumps({key: data.draw(JSON_VALUES | PROFILE_VALUES[key])})
+        try:
+            profile = parse_profile(text)
+            generate_synthetic(
+                replace(profile, melody_length_range=(1, 4)), 2, seed=0)
+        except InputError:
+            pass
 
     def test_planted_rule_with_unknown_tag_rejected(self):
         from ornatag.errors import UnknownTag

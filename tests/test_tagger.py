@@ -1,6 +1,5 @@
 """CRF feature extraction, inference, training, and model file format."""
 
-import io
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -606,13 +605,6 @@ class TestModelIO:
         path = tmp_path / "model.crf"
         save_model(model, path)
         assert serialize_model(load_model(path)) == serialize_model(model)
-
-    def test_stream_round_trip(self):
-        model, _ = self.roundtrip_model()
-        buffer = io.StringIO()
-        save_model(model, buffer)
-        assert serialize_model(
-            load_model(io.StringIO(buffer.getvalue()))) == serialize_model(model)
 
     def test_begins_with_magic(self):
         model, _ = self.roundtrip_model()
