@@ -9,6 +9,7 @@ standard error; standard output carries only machine-readable results.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -54,14 +55,36 @@ def _write(path: str, text: str) -> None:
 
 # -- config files ----------------------------------------------------------------
 
+
+def _domain(parse, holds, name: str):
+    """A setting's converter: ``parse`` the text, then check ``holds``.
+
+    It serves as the argparse ``type=`` of the setting's flag and as its
+    config-file reader; ``name`` completes both error messages.  The
+    checks are written so that NaN fails them.
+    """
+    def convert(text: str):
+        value = parse(text)
+        if not holds(value):
+            raise ValueError(text)
+        return value
+    convert.__name__ = name
+    return convert
+
+
+_COUNT = _domain(int, lambda v: v >= 0, "nonnegative integer")
+# the rule file's rule for WEIGHT, H1 and H2 holds for step_size too
+_POSITIVE = _domain(float, lambda v: 0 < v < math.inf, "finite positive number")
+
 _CONFIG_KEYS = {
-    "epochs": int,
-    "step_size": float,
-    "l2": float,
-    "batch": int,
-    "seed": int,
-    "h1": float,
-    "h2": float,
+    "epochs": _COUNT,
+    "step_size": _POSITIVE,
+    "l2": _domain(float, lambda v: 0 <= v < math.inf,
+                  "finite nonnegative number"),
+    "batch": _domain(int, lambda v: v >= 1, "positive integer"),
+    "seed": _COUNT,
+    "h1": _POSITIVE,
+    "h2": _POSITIVE,
 }
 
 
@@ -80,11 +103,13 @@ def parse_config(text: str) -> dict:
                 f"expected 'key=value', got {raw.strip()!r}", line=lineno)
         if key not in _CONFIG_KEYS:
             raise InputError(f"unknown config key {key!r}", line=lineno)
+        convert = _CONFIG_KEYS[key]
         try:
-            values[key] = _CONFIG_KEYS[key](value)
+            values[key] = convert(value)
         except ValueError:
             raise InputError(
-                f"bad value for {key!r}: {value!r}", line=lineno) from None
+                f"bad value for {key!r}: {value!r} "
+                f"(expected a {convert.__name__})", line=lineno) from None
     return values
 
 
@@ -230,11 +255,11 @@ def build_parser() -> _Parser:
     p_train.add_argument("--tagset", required=True)
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--config", help="key=value defaults file")
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--step", type=float)
-    p_train.add_argument("--l2", type=float)
-    p_train.add_argument("--batch", type=int)
-    p_train.add_argument("--seed", type=int)
+    p_train.add_argument("--epochs", type=_CONFIG_KEYS["epochs"])
+    p_train.add_argument("--step", type=_CONFIG_KEYS["step_size"])
+    p_train.add_argument("--l2", type=_CONFIG_KEYS["l2"])
+    p_train.add_argument("--batch", type=_CONFIG_KEYS["batch"])
+    p_train.add_argument("--seed", type=_CONFIG_KEYS["seed"])
     p_train.set_defaults(func=cmd_train)
 
     p_tag = sub.add_parser("tag", help="tag one melody")
@@ -243,8 +268,8 @@ def build_parser() -> _Parser:
     p_tag.add_argument("--out", required=True)
     p_tag.add_argument("--rules")
     p_tag.add_argument("--config", help="key=value defaults file")
-    p_tag.add_argument("--h1", type=float)
-    p_tag.add_argument("--h2", type=float)
+    p_tag.add_argument("--h1", type=_CONFIG_KEYS["h1"])
+    p_tag.add_argument("--h2", type=_CONFIG_KEYS["h2"])
     p_tag.add_argument("--explain", action="store_true",
                        help="write a .explain sidecar of rule firings")
     p_tag.set_defaults(func=cmd_tag)
@@ -254,8 +279,8 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--corpus", required=True)
     p_eval.add_argument("--rules")
     p_eval.add_argument("--config", help="key=value defaults file")
-    p_eval.add_argument("--h1", type=float)
-    p_eval.add_argument("--h2", type=float)
+    p_eval.add_argument("--h1", type=_CONFIG_KEYS["h1"])
+    p_eval.add_argument("--h2", type=_CONFIG_KEYS["h2"])
     p_eval.set_defaults(func=cmd_eval)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
@@ -264,7 +289,7 @@ def build_parser() -> _Parser:
     group.add_argument("--default", action="store_true",
                        help="use the built-in profile")
     p_synth.add_argument("--melodies", type=int, required=True)
-    p_synth.add_argument("--seed", type=int, required=True)
+    p_synth.add_argument("--seed", type=_CONFIG_KEYS["seed"], required=True)
     p_synth.add_argument("--out", required=True)
     p_synth.add_argument("--tagset-out", dest="tagset_out",
                          help="also write the profile's tag set file")

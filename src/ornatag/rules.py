@@ -5,11 +5,13 @@ One rule per line::
     IF duration(@t) > 3 THEN tag(@t) = trills WEIGHT 2.0
     IF pred(@t-1) == trills THEN tag(@t) = none WEIGHT 0.5
 
-The antecedent is a conjunction of clauses.  Observation clauses
-compare a note feature (``duration``, ``midi``, ``octave``, ``step``,
-``position``) at a position relative to the anchor ``@t``; state
-clauses (``pred``) test the base prediction at such a position.  A rule
-with at least one state clause is Type 2, otherwise Type 1.
+The antecedent is a conjunction of clauses of one form: a feature at a
+position relative to the anchor ``@t``, a comparator and a literal.  The
+features are the note's ``duration``, ``midi``, ``octave`` and ``step``,
+the resolved ``position``, and ``pred``, the tag of the base path (the
+tagger's Viterbi path) at that position.  ``step`` and ``pred`` take
+only ``==`` and ``!=``.  A rule with a ``pred`` clause reads predictions
+and is Type 2, otherwise Type 1.
 
 A file may open with ``H1 <w>`` / ``H2 <w>`` directives giving the
 default confidences for Type 1 and Type 2 rules (2.0 each when
@@ -46,7 +48,7 @@ from .score import (
     iter_data_lines,
 )
 
-FEATURES = ("duration", "midi", "octave", "step", "position")
+FEATURES = ("duration", "midi", "octave", "step", "position", "pred")
 
 _COMPARE = {
     "<": operator.lt,
@@ -61,26 +63,13 @@ _KEYWORDS = frozenset({"IF", "AND", "THEN", "WEIGHT"})
 
 
 @dataclass(frozen=True)
-class ObsClause:
-    """Feature comparison against a literal at an offset from the anchor."""
+class Clause:
+    """``feature(@t+offset) comparator value``; ``pred`` values are tag indices."""
 
     feature: str
     offset: int
     comparator: str
     value: Union[Fraction, int, str]
-
-
-@dataclass(frozen=True)
-class StateClause:
-    """Base-prediction test at an offset from the anchor."""
-
-    offset: int
-    comparator: str
-    tag: str
-    tag_index: int
-
-
-Clause = Union[ObsClause, StateClause]
 
 
 @dataclass(frozen=True)
@@ -97,12 +86,12 @@ class Rule:
     def __post_init__(self):
         if not self.clauses:
             raise ValueError("a rule needs at least one clause")
-        if self.weight is not None and self.weight <= 0:
-            raise ValueError(f"weight must be positive: {self.weight}")
+        if self.weight is not None and not 0 < self.weight < math.inf:
+            raise ValueError(f"weight must be finite and positive: {self.weight}")
 
     @property
     def rule_class(self) -> int:
-        return 2 if any(isinstance(c, StateClause) for c in self.clauses) else 1
+        return 2 if any(c.feature == "pred" for c in self.clauses) else 1
 
 
 @dataclass(frozen=True)
@@ -116,8 +105,8 @@ class RuleSet:
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
-        if self.h1 <= 0 or self.h2 <= 0:
-            raise ValueError("default confidences must be positive")
+        if not (0 < self.h1 < math.inf and 0 < self.h2 < math.inf):
+            raise ValueError("default confidences must be finite and positive")
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -249,16 +238,9 @@ class _LineParser:
                 break
         self.expect("IDENT", "THEN")
         self.expect("IDENT", "tag")
-        self.expect("LPAREN")
-        offset = self.parse_posref()
-        self.expect("RPAREN")
+        offset = self.parse_position()
         self.expect("OP", "=")
-        tag_token = self.expect("IDENT", expected="a tag name")
-        tag = tag_token.text
-        if tag not in self.tagset:
-            raise UnknownTag(
-                f"unknown tag {tag!r}", token=tag,
-                line=self.lineno, column=tag_token.column)
+        index = self.parse_tag()
         weight = None
         token = self.peek()
         if token is not None:
@@ -271,8 +253,8 @@ class _LineParser:
         return Rule(
             clauses=tuple(clauses),
             consequent_offset=offset,
-            consequent_tag=tag,
-            consequent_index=self.tagset.index(tag),
+            consequent_tag=self.tagset.name(index),
+            consequent_index=index,
             weight=weight,
             source_line=self.lineno)
 
@@ -280,41 +262,38 @@ class _LineParser:
         head = self.next("a feature or 'pred'")
         if head.kind != "IDENT" or head.text in _KEYWORDS:
             self.fail(head, "a feature or 'pred'")
-        if head.text == "pred":
-            self.expect("LPAREN")
-            offset = self.parse_posref()
-            self.expect("RPAREN")
-            op = self.expect("OP", expected="'==' or '!='")
-            if op.text not in ("==", "!="):
-                self.fail(op, "'==' or '!='")
-            tag_token = self.expect("IDENT", expected="a tag name")
-            tag = tag_token.text
-            if tag not in self.tagset:
-                raise UnknownTag(
-                    f"unknown tag {tag!r}", token=tag,
-                    line=self.lineno, column=tag_token.column)
-            return StateClause(offset, op.text, tag, self.tagset.index(tag))
         if head.text not in FEATURES:
             raise UnknownFeature(
                 f"unknown feature {head.text!r}", token=head.text,
                 line=self.lineno, column=head.column)
         feature = head.text
-        self.expect("LPAREN")
-        offset = self.parse_posref()
-        self.expect("RPAREN")
+        offset = self.parse_position()
         op = self.expect("OP", expected="a comparator")
         if op.text == "=":
             self.fail(op, "a comparator ('==' for equality)")
-        if feature == "step" and op.text not in ("==", "!="):
-            self.fail(op, "'==' or '!=' (step only supports equality tests)")
-        value = self.parse_literal(feature)
-        return ObsClause(feature, offset, op.text, value)
+        if feature in ("step", "pred") and op.text not in ("==", "!="):
+            self.fail(op, f"'==' or '!=' ({feature} only supports equality tests)")
+        return Clause(feature, offset, op.text, self.parse_literal(feature))
 
-    def parse_posref(self) -> int:
+    def parse_position(self) -> int:
+        """``( posref )``: the offset from the anchor."""
+        self.expect("LPAREN")
         token = self.expect("POSREF", expected="'@t', '@t+INT', or '@t-INT'")
+        self.expect("RPAREN")
         return int(token.text[2:]) if len(token.text) > 2 else 0
 
+    def parse_tag(self) -> int:
+        """A tag name of the bound tag set, as its index."""
+        token = self.expect("IDENT", expected="a tag name")
+        if token.text not in self.tagset:
+            raise UnknownTag(
+                f"unknown tag {token.text!r}", token=token.text,
+                line=self.lineno, column=token.column)
+        return self.tagset.index(token.text)
+
     def parse_literal(self, feature: str):
+        if feature == "pred":
+            return self.parse_tag()
         if feature == "step":
             token = self.next("a step letter")
             letter = token.text.upper()
@@ -400,18 +379,18 @@ def _format_posref(offset: int) -> str:
     return f"@t+{offset}" if offset > 0 else f"@t-{-offset}"
 
 
-def _format_clause(clause: Clause) -> str:
-    if isinstance(clause, StateClause):
-        return f"pred({_format_posref(clause.offset)}) {clause.comparator} {clause.tag}"
+def _format_clause(clause: Clause, tagset: TagSet) -> str:
+    value = tagset.name(clause.value) if clause.feature == "pred" else clause.value
     return (f"{clause.feature}({_format_posref(clause.offset)}) "
-            f"{clause.comparator} {clause.value}")
+            f"{clause.comparator} {value}")
 
 
 def serialize_rules(ruleset: RuleSet) -> str:
     """Canonical ruleset text; reparsing yields an equal RuleSet."""
     lines = [f"H1 {ruleset.h1!r}", f"H2 {ruleset.h2!r}"]
     for rule in ruleset:
-        antecedent = " AND ".join(_format_clause(c) for c in rule.clauses)
+        antecedent = " AND ".join(
+            _format_clause(c, ruleset.tagset) for c in rule.clauses)
         line = (f"IF {antecedent} THEN tag({_format_posref(rule.consequent_offset)})"
                 f" = {rule.consequent_tag}")
         if rule.weight is not None:
@@ -423,65 +402,43 @@ def serialize_rules(ruleset: RuleSet) -> str:
 # -- evaluation ------------------------------------------------------------------
 
 
-def _feature_value(melody: Melody, feature: str, position: int):
-    if feature == "duration":
-        return melody[position].duration_ql
-    if feature == "midi":
-        return melody[position].midi
-    if feature == "octave":
-        return melody[position].octave
-    if feature == "step":
-        return melody[position].step
-    if feature == "position":
-        return position
-    raise UnknownFeature(f"unknown feature {feature!r}", token=feature)
-
-
-def evaluate_antecedent(rule: Rule, melody: Melody, base: StateSequence,
-                        t: int) -> bool:
-    """True iff every clause holds with the anchor bound to position ``t``.
-
-    A clause whose resolved position falls outside the melody makes the
-    whole antecedent false, so rules degrade silently at boundaries.
-    """
-    T = len(melody)
-    for clause in rule.clauses:
-        position = t + clause.offset
-        if not 0 <= position < T:
-            return False
-        if isinstance(clause, StateClause):
-            actual = base[position]
-            if not _COMPARE[clause.comparator](actual, clause.tag_index):
-                return False
-        else:
-            actual = _feature_value(melody, clause.feature, position)
-            if not _COMPARE[clause.comparator](actual, clause.value):
-                return False
-    return True
-
-
 def collect_firings(ruleset: RuleSet, melody: Melody,
                     base: StateSequence) -> list[Firing]:
     """Every (rule, anchor) whose antecedent holds and target is in range.
 
-    Rules are visited in source order, anchors left to right; this is
-    the sole definition of "the rule fired", shared by weight-matrix
-    construction, rule-satisfaction counts and planted-rule synthesis.
+    A clause whose resolved position falls outside the melody is false,
+    so rules degrade silently at boundaries.  Rules are visited in
+    source order, anchors left to right; this is the sole definition of
+    "the rule fired", shared by weight-matrix construction,
+    rule-satisfaction counts and planted-rule synthesis.
     """
     T = len(melody)
+    notes = melody.notes
+    columns = {
+        "duration": [note.duration_ql for note in notes],
+        "midi": [note.midi for note in notes],
+        "octave": [note.octave for note in notes],
+        "step": [note.step for note in notes],
+        "position": range(T),
+        "pred": base.tags,
+    }
     firings = []
     for rule in ruleset:
+        shift = rule.consequent_offset
+        anchors = range(max(0, -shift), min(T, T - shift))
+        for clause in rule.clauses:
+            column = columns[clause.feature]
+            offset = clause.offset
+            compare = _COMPARE[clause.comparator]
+            value = clause.value
+            anchors = [t for t in anchors if 0 <= t + offset < T
+                       and compare(column[t + offset], value)]
         weight = ruleset.effective_weight(rule)
-        for t in range(T):
-            if not evaluate_antecedent(rule, melody, base, t):
-                continue
-            target = t + rule.consequent_offset
-            if not 0 <= target < T:
-                continue
-            firings.append(Firing(
-                rule_line=rule.source_line, anchor=t, target=target,
-                tag=rule.consequent_tag, tag_index=rule.consequent_index,
-                weight=weight))
+        firings.extend(
+            Firing(rule_line=rule.source_line, anchor=t, target=t + shift,
+                   tag=rule.consequent_tag, tag_index=rule.consequent_index,
+                   weight=weight)
+            for t in anchors)
     return firings
 
 

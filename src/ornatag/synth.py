@@ -115,9 +115,10 @@ class SynthProfile:
                 raise InputError(
                     "emission_bias multipliers must be finite and nonnegative")
         length_lo, length_hi = self.melody_length_range
-        if not 1 <= length_lo <= length_hi:
+        if not 1 <= length_lo <= length_hi < 2 ** 63:
             raise InputError(
-                f"bad melody length range [{length_lo}, {length_hi}]")
+                f"bad melody_length_range [{length_lo}, {length_hi}]: "
+                f"needs 1 <= low <= high < 2**63")
         if self.planted_rules is not None:
             if self.planted_rules.tagset != self.tagset:
                 raise InputError(

@@ -36,6 +36,7 @@ are bit-identical to the per-melody loops'.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -151,8 +152,11 @@ class FeatureVectorizer:
 
     @classmethod
     def from_names(cls, names: Sequence[str]) -> "FeatureVectorizer":
+        """Vectorizer with ``names`` at indices 0.., which must be distinct."""
         vec = cls()
         for name in names:
+            if vec.index(name) is not None:
+                raise ValueError(f"repeated feature name {name!r}")
             vec.add(name)
         return vec.freeze()
 
@@ -499,14 +503,17 @@ class TrainConfig:
     exclude_features: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.epochs < 0:
+        # each check is written so that NaN fails it
+        if not self.epochs >= 0:
             raise ValueError("epochs must be nonnegative")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.l2 < 0:
-            raise ValueError("l2 must be nonnegative")
-        if self.batch_size < 1:
+        if not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be finite and positive")
+        if not 0 <= self.l2 < math.inf:
+            raise ValueError("l2 must be finite and nonnegative")
+        if not self.batch_size >= 1:
             raise ValueError("batch_size must be at least 1")
+        if not self.seed >= 0:
+            raise ValueError("seed must be nonnegative")
 
 
 ProgressFn = Callable[[int, float], None]

@@ -7,12 +7,14 @@ thousand), which is the point.
 """
 
 import itertools
+import operator
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 from scipy.special import logsumexp
 
+from ornatag.rules import Firing
 from ornatag.score import (
     Melody,
     Note,
@@ -214,6 +216,53 @@ def reference_train(corpus, config, progress=None):
     final_loss, _ = reference_nll_and_gradient(model, corpus, config.l2)
     return replace(model, training_meta=TrainingMeta(
         config.epochs, final_loss, config.seed))
+
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+
+
+def _reference_value(melody, base, feature, position):
+    if feature == "duration":
+        return melody[position].duration_ql
+    if feature == "midi":
+        return melody[position].midi
+    if feature == "octave":
+        return melody[position].octave
+    if feature == "step":
+        return melody[position].step
+    if feature == "position":
+        return position
+    if feature == "pred":
+        return base[position]
+    raise ValueError(f"unknown feature {feature!r}")
+
+
+def _reference_antecedent(rule, melody, base, t):
+    """True iff every clause holds with the anchor bound to ``t``."""
+    for clause in rule.clauses:
+        position = t + clause.offset
+        if not 0 <= position < len(melody):
+            return False
+        actual = _reference_value(melody, base, clause.feature, position)
+        if not _COMPARE[clause.comparator](actual, clause.value):
+            return False
+    return True
+
+
+def reference_firings(ruleset, melody, base):
+    """``rules.collect_firings`` as one antecedent test per rule and anchor."""
+    firings = []
+    for rule in ruleset:
+        for t in range(len(melody)):
+            target = t + rule.consequent_offset
+            if (_reference_antecedent(rule, melody, base, t)
+                    and 0 <= target < len(melody)):
+                firings.append(Firing(
+                    rule_line=rule.source_line, anchor=t, target=target,
+                    tag=rule.consequent_tag, tag_index=rule.consequent_index,
+                    weight=ruleset.effective_weight(rule)))
+    return firings
 
 
 def central_difference_gradient(fn, w, step=1e-5):

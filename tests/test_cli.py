@@ -34,6 +34,7 @@ from ornatag.tagger import (
     extract_features,
     posterior_marginals,
 )
+from test_tagger import with_repeated_feature
 
 DATA = Path(__file__).parent / "data"
 
@@ -164,6 +165,92 @@ class TestConfigFile:
         ], capsys)
         assert code == 2
         assert "learning_rate" in err
+
+
+class TestNumericSettings:
+    """Each flag and config key checks its domain: bad values never exit 3."""
+
+    @pytest.fixture
+    def tune(self, tmp_path):
+        """A melody and a rule that takes the default Type 1 weight."""
+        (tmp_path / "tune.melody").write_text("C5:1 D5:1/2 E5:4 F5:1/2 G5:2\n")
+        (tmp_path / "default.rules").write_text(
+            "IF duration(@t) > 3 THEN tag(@t) = trills\n")
+        return tmp_path
+
+    def train_args(self, workdir, tmp_path):
+        return ["train", "--corpus", str(workdir / "corpus.txt"),
+                "--tagset", str(workdir / "tags.txt"),
+                "--out", str(tmp_path / "m.txt"), "--epochs", "1"]
+
+    def rules_args(self, command, workdir, tune):
+        if command == "tag":
+            return ["tag", "--model", str(workdir / "model.txt"),
+                    "--melody", str(tune / "tune.melody"),
+                    "--out", str(tune / "t.txt"),
+                    "--rules", str(tune / "default.rules")]
+        return ["eval", "--model", str(workdir / "model.txt"),
+                "--corpus", str(workdir / "corpus.txt"),
+                "--rules", str(tune / "default.rules")]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs", "-1"), ("--batch", "0"), ("--step", "0"),
+        ("--step", "nan"), ("--l2", "-1"), ("--l2", "nan"), ("--seed", "-1"),
+    ])
+    def test_bad_train_flag_exits_1(self, workdir, tmp_path, capsys, flag,
+                                    value):
+        code, out, err = run_cli(
+            self.train_args(workdir, tmp_path) + [flag, value], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"argument {flag}: invalid" in err
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_negative_synth_seed_exits_1(self, tmp_path, capsys):
+        code, _, err = run_cli([
+            "synth", "--default", "--melodies", "2", "--seed", "-1",
+            "--out", str(tmp_path / "c.txt"),
+        ], capsys)
+        assert code == 1
+        assert "argument --seed: invalid nonnegative integer value" in err
+        assert not (tmp_path / "c.txt").exists()
+
+    @pytest.mark.parametrize("command", ["tag", "eval"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_confidence_flag_exits_1(self, workdir, tune, capsys,
+                                         command, value):
+        code, out, err = run_cli(
+            self.rules_args(command, workdir, tune) + ["--h1", value], capsys)
+        assert code == 1
+        assert out == ""
+        assert "argument --h1: invalid finite positive number value" in err
+
+    @pytest.mark.parametrize("text", [
+        "epochs=-3", "step_size=nan", "l2=inf", "batch=0", "seed=-1",
+        "h1=0", "h2=inf",
+    ])
+    def test_bad_config_value_is_located(self, text):
+        with pytest.raises(InputError, match="expected a") as exc:
+            parse_config(f"# defaults\n{text}\n")
+        assert exc.value.line == 2
+
+    def test_bad_confidence_config_exits_2(self, workdir, tune, capsys):
+        config = tune / "rules.cfg"
+        config.write_text("h1=0\n")
+        code, _, err = run_cli(
+            self.rules_args("tag", workdir, tune) + ["--config", str(config)],
+            capsys)
+        assert code == 2
+        assert "'h1'" in err and "line 1" in err
+
+    def test_bad_epochs_config_exits_2(self, workdir, tmp_path, capsys):
+        config = tmp_path / "train.cfg"
+        config.write_text("epochs=-3\n")
+        code, _, err = run_cli(
+            self.train_args(workdir, tmp_path)[:-2] + ["--config", str(config)],
+            capsys)
+        assert code == 2
+        assert "'epochs'" in err and "line 1" in err
 
 
 class TestTrain:
@@ -332,6 +419,21 @@ class TestTag:
         ], capsys)
         assert code == 2
         assert "flutter" in err
+
+    def test_repeated_feature_in_model_exits_2(self, workdir, tmp_path,
+                                               capsys):
+        """A model file listing one feature twice is a corrupt model."""
+        model_path = tmp_path / "dup.model"
+        model_path.write_text(with_repeated_feature(
+            (workdir / "model.txt").read_text()))
+        melody_path = tmp_path / "tune.melody"
+        melody_path.write_text("C5:1\n")
+        code, _, err = run_cli([
+            "tag", "--model", str(model_path), "--melody", str(melody_path),
+            "--out", str(tmp_path / "t.txt"),
+        ], capsys)
+        assert code == 2
+        assert "repeated feature name" in err
 
     def test_bad_rule_syntax_exits_2_with_location(self, workdir, tmp_path,
                                                    capsys):
@@ -640,6 +742,19 @@ class TestSynth:
         assert code == 2
         assert out == ""
         assert named in err
+        assert not (tmp_path / "c.txt").exists()
+
+    def test_length_range_past_int64_exits_2(self, tmp_path, capsys):
+        """A melody length that numpy cannot draw is bad input."""
+        profile = tmp_path / "p.json"
+        profile.write_text('{"melody_length_range": [1, 100000000000000000000]}')
+        code, out, err = run_cli([
+            "synth", "--profile", str(profile), "--melodies", "5",
+            "--seed", "1", "--out", str(tmp_path / "c.txt"),
+        ], capsys)
+        assert code == 2
+        assert out == ""
+        assert "melody_length_range" in err
         assert not (tmp_path / "c.txt").exists()
 
     def test_profile_and_default_conflict(self, tmp_path, capsys):

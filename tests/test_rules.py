@@ -1,26 +1,27 @@
-"""Rule DSL parsing, antecedent evaluation, and weight-matrix construction."""
+"""Rule DSL parsing, rule firing, and weight-matrix construction."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import melody_from_tokens
+from oracles import melody_from_tokens, reference_firings
 from ornatag.errors import (
+    InputError,
     NonpositiveWeight,
     RuleSyntaxError,
     UnknownFeature,
     UnknownTag,
 )
 from ornatag.rules import (
+    Clause,
     Firing,
-    ObsClause,
     Rule,
     RuleSet,
-    StateClause,
     build_weight_matrix,
-    evaluate_antecedent,
+    collect_firings,
     parse_rules,
     serialize_rules,
 )
@@ -45,12 +46,12 @@ class TestParseRules:
         assert rule.consequent_tag == "trills"
         assert rule.consequent_index == 1
         assert rule.consequent_offset == 0
-        assert rule.clauses == (ObsClause("duration", 0, ">", Fraction(3)),)
+        assert rule.clauses == (Clause("duration", 0, ">", Fraction(3)),)
 
     def test_state_clause_makes_type2(self):
         rule = parse_one("IF pred(@t-1) == trills THEN tag(@t) = none WEIGHT 0.5")
         assert rule.rule_class == 2
-        assert rule.clauses == (StateClause(-1, "==", "trills", 1),)
+        assert rule.clauses == (Clause("pred", -1, "==", 1),)
 
     def test_conjunction(self):
         rule = parse_one(
@@ -214,6 +215,38 @@ class TestParseRules:
             parse_one("IF duration(@t) > 3 THEN tag(@t) = trills WEIGHT 2.0 extra")
         assert exc.value.expected == "end of rule"
 
+    @pytest.mark.parametrize("clause, error, column", [
+        ("pred(@t) > trills", RuleSyntaxError, 13),
+        ("pred(@t) = trills", RuleSyntaxError, 13),
+        ("pred(@t) == vibrato", UnknownTag, 16),
+        ("pred(t) == trills", RuleSyntaxError, 9),
+        ("pred(@t) trills", RuleSyntaxError, 13),
+        ("step(@t) < C", RuleSyntaxError, 13),
+    ])
+    def test_malformed_equality_clause_is_located(self, clause, error,
+                                                  column):
+        with pytest.raises(InputError) as exc:
+            parse_rules(f"\nIF {clause} THEN tag(@t) = none\n", TAGS)
+        assert type(exc.value) is error
+        assert (exc.value.line, exc.value.column) == (2, column)
+
+
+class TestRuleSetDomain:
+    """Weights and default confidences are finite and positive."""
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_default_confidence_rejected(self, value):
+        with pytest.raises(ValueError):
+            RuleSet(TAGS, (), h1=value)
+        with pytest.raises(ValueError):
+            RuleSet(TAGS, (), h2=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_rule_weight_rejected(self, value):
+        clause = Clause("midi", 0, ">", 60)
+        with pytest.raises(ValueError):
+            Rule((clause,), 0, "trills", 1, value, source_line=1)
+
 
 class TestSerializeRules:
     """Canonical text form and its fixed point."""
@@ -243,57 +276,55 @@ class TestSerializeRules:
         assert again.rules[0].weight == ruleset.rules[0].weight
 
 
+def anchors(line: str, melody: Melody, base: StateSequence) -> list[int]:
+    """Anchors at which the one rule of ``line`` fires, left to right."""
+    return [f.anchor for f in collect_firings(
+        parse_rules(line + "\n", TAGS), melody, base)]
+
+
 class TestEvaluateAntecedent:
-    """Clause semantics with the anchor bound to a concrete position."""
+    """Clause semantics, read from the anchors at which a rule fires."""
 
     melody = melody_from_tokens(["C1:4", "D1:1"])
     base = StateSequence((1, 0))
 
     def test_long_note_true_at_long_note(self):
-        rule = parse_one("IF duration(@t) > 3 THEN tag(@t) = trills")
-        assert evaluate_antecedent(rule, self.melody, self.base, 0) is True
+        rule = "IF duration(@t) > 3 THEN tag(@t) = trills"
+        assert 0 in anchors(rule, self.melody, self.base)
 
     def test_long_note_false_at_short_note(self):
-        rule = parse_one("IF duration(@t) > 3 THEN tag(@t) = trills")
-        assert evaluate_antecedent(rule, self.melody, self.base, 1) is False
+        rule = "IF duration(@t) > 3 THEN tag(@t) = trills"
+        assert 1 not in anchors(rule, self.melody, self.base)
 
     def test_out_of_range_clause_is_false(self):
-        rule = parse_one("IF pred(@t-1) == trills THEN tag(@t) = none")
-        assert evaluate_antecedent(rule, self.melody, self.base, 0) is False
-        assert evaluate_antecedent(rule, self.melody, self.base, 1) is True
+        rule = "IF pred(@t-1) == trills THEN tag(@t) = none"
+        assert anchors(rule, self.melody, self.base) == [1]
 
     def test_state_inequality(self):
-        rule = parse_one("IF pred(@t) != trills THEN tag(@t) = none")
-        assert evaluate_antecedent(rule, self.melody, self.base, 0) is False
-        assert evaluate_antecedent(rule, self.melody, self.base, 1) is True
+        rule = "IF pred(@t) != trills THEN tag(@t) = none"
+        assert anchors(rule, self.melody, self.base) == [1]
 
     def test_step_feature(self):
-        rule = parse_one("IF step(@t) == C THEN tag(@t) = trills")
-        assert evaluate_antecedent(rule, self.melody, self.base, 0) is True
-        assert evaluate_antecedent(rule, self.melody, self.base, 1) is False
+        rule = "IF step(@t) == C THEN tag(@t) = trills"
+        assert anchors(rule, self.melody, self.base) == [0]
 
     def test_position_feature_reads_resolved_index(self):
-        rule = parse_one("IF position(@t+1) == 1 THEN tag(@t) = trills")
-        assert evaluate_antecedent(rule, self.melody, self.base, 0) is True
-        assert evaluate_antecedent(rule, self.melody, self.base, 1) is False
+        rule = "IF position(@t+1) == 1 THEN tag(@t) = trills"
+        assert anchors(rule, self.melody, self.base) == [0]
 
     def test_midi_and_octave(self):
         melody = melody_from_tokens(["C4:1", "G5:1"])
-        base = StateSequence((0, 0))
-        rule = parse_one("IF midi(@t) >= 60 AND octave(@t) == 4 "
-                         "THEN tag(@t) = trills")
-        assert evaluate_antecedent(rule, melody, base, 0) is True
-        assert evaluate_antecedent(rule, melody, base, 1) is False
+        rule = "IF midi(@t) >= 60 AND octave(@t) == 4 THEN tag(@t) = trills"
+        assert anchors(rule, melody, StateSequence((0, 0))) == [0]
 
     def test_conjunction_needs_all_clauses(self):
-        rule = parse_one("IF duration(@t) > 3 AND step(@t) == D "
-                         "THEN tag(@t) = trills")
-        assert evaluate_antecedent(rule, self.melody, self.base, 0) is False
+        rule = "IF duration(@t) > 3 AND step(@t) == D THEN tag(@t) = trills"
+        assert 0 not in anchors(rule, self.melody, self.base)
 
     def test_exact_rational_comparison(self):
         melody = melody_from_tokens(["C1:1/3"])
-        rule = parse_one("IF duration(@t) == 1/3 THEN tag(@t) = trills")
-        assert evaluate_antecedent(rule, melody, StateSequence((0,)), 0) is True
+        rule = "IF duration(@t) == 1/3 THEN tag(@t) = trills"
+        assert anchors(rule, melody, StateSequence((0,))) == [0]
 
 
 class TestBuildWeightMatrix:
@@ -387,24 +418,64 @@ class TestBuildWeightMatrix:
                     assert m_big.values[k, t] == m_small.values[k, t]
 
 
+def _posref(offset: int) -> str:
+    return "@t" if offset == 0 else f"@t{offset:+d}"
+
+
+_LITERALS = {
+    "duration": st.sampled_from(["1/4", "1/2", "1", "3/2", "2", "3", "0.5"]),
+    "midi": st.integers(20, 90).map(str),
+    "octave": st.integers(0, 7).map(str),
+    "position": st.integers(0, 6).map(str),
+    "step": st.sampled_from("CDEFGAB"),
+    "pred": st.sampled_from(TAGS.tags),
+}
+
+
+@st.composite
+def random_clause(draw):
+    """One clause on any of the six features, offset up to 3 either way."""
+    feature = draw(st.sampled_from(sorted(_LITERALS)))
+    if feature in ("step", "pred"):
+        cmp = draw(st.sampled_from(["==", "!="]))
+    else:
+        cmp = draw(st.sampled_from([">", "<", ">=", "<=", "==", "!="]))
+    offset = draw(st.integers(-3, 3))
+    return f"{feature}({_posref(offset)}) {cmp} {draw(_LITERALS[feature])}"
+
+
 @st.composite
 def random_rule_lines(draw):
     """A syntactically valid rule over TAGS with a power-free weight."""
-    feature = draw(st.sampled_from(["duration", "midi", "position"]))
-    cmp = draw(st.sampled_from([">", "<", ">=", "<=", "==", "!="]))
-    lit = draw(st.integers(0, 6))
-    offset = draw(st.integers(-2, 2))
+    clauses = draw(st.lists(random_clause(), min_size=1, max_size=3))
     tag = draw(st.sampled_from(TAGS.tags))
     weight = draw(st.sampled_from(["0.5", "2", "3", "0.25", "1.5"]))
-    posref = "@t" if offset == 0 else f"@t{offset:+d}"
-    use_pred = draw(st.booleans())
-    if use_pred:
-        clause = f"pred({posref}) == {draw(st.sampled_from(TAGS.tags))}"
-    else:
-        clause = f"{feature}({posref}) {cmp} {lit}"
-    c_off = draw(st.integers(-1, 1))
-    c_ref = "@t" if c_off == 0 else f"@t{c_off:+d}"
-    return f"IF {clause} THEN tag({c_ref}) = {tag} WEIGHT {weight}"
+    c_ref = _posref(draw(st.integers(-2, 2)))
+    return (f"IF {' AND '.join(clauses)} THEN tag({c_ref}) = {tag} "
+            f"WEIGHT {weight}")
+
+
+@st.composite
+def melody_and_base(draw):
+    """A melody of 1 to 6 notes and a base path over TAGS."""
+    tokens = draw(st.lists(
+        st.sampled_from(["C1:4", "D2:1", "E3:2", "F1:1/2", "G2:3", "B4:1/4",
+                         "C5:3/2", "A0:1"]), min_size=1, max_size=6))
+    base = draw(st.lists(st.integers(0, len(TAGS) - 1),
+                         min_size=len(tokens), max_size=len(tokens)))
+    return melody_from_tokens(tokens), StateSequence(tuple(base))
+
+
+class TestCollectFirings:
+    """The column pass against the per-anchor reference."""
+
+    @given(st.lists(random_rule_lines(), min_size=1, max_size=6),
+           melody_and_base())
+    def test_matches_reference_firings(self, lines, melody_base):
+        melody, base = melody_base
+        ruleset = parse_rules("".join(f"{l}\n" for l in lines), TAGS)
+        assert (collect_firings(ruleset, melody, base)
+                == reference_firings(ruleset, melody, base))
 
 
 class TestOrderIndependence:

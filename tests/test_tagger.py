@@ -1,6 +1,7 @@
 """CRF feature extraction, inference, training, and model file format."""
 
 import math
+import zlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -139,6 +140,10 @@ class TestVectorizer:
         vec = FeatureVectorizer.from_names(["a"])
         with pytest.raises(ValueError):
             vec.add("b")
+
+    def test_from_names_rejects_repeated_name(self):
+        with pytest.raises(ValueError, match="repeated feature name 'a'"):
+            FeatureVectorizer.from_names(["a", "b", "a"])
 
     def test_unknown_name_maps_to_none(self):
         vec = FeatureVectorizer.from_names(["a"])
@@ -462,6 +467,15 @@ class TestTrain:
         text2 = serialize_model(train(corpus, config))
         assert text1 == text2
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", -1), ("step_size", 0.0), ("step_size", math.nan),
+        ("step_size", math.inf), ("l2", -1.0), ("l2", math.nan),
+        ("l2", math.inf), ("batch_size", 0), ("seed", -1),
+    ])
+    def test_config_rejects_out_of_domain(self, field, value):
+        with pytest.raises(ValueError):
+            TrainConfig(**{field: value})
+
     def test_different_seed_changes_shuffle(self):
         corpus = tiny_corpus(n_entries=8)
         model_a = train(corpus, TrainConfig(epochs=2, batch_size=3, seed=1))
@@ -641,6 +655,12 @@ class TestModelIO:
         with pytest.raises(CorruptModel):
             parse_model(body)
 
+    def test_repeated_feature_name_is_corrupt(self):
+        model, _ = self.roundtrip_model()
+        text = with_repeated_feature(serialize_model(model))
+        with pytest.raises(CorruptModel, match="repeated feature name"):
+            parse_model(text)
+
     def test_magic_wins_over_checksum(self):
         # a v9 file reports the version problem even though its
         # checksum line no longer matches either
@@ -648,3 +668,18 @@ class TestModelIO:
         text = serialize_model(model).replace("v1", "v9", 1)
         with pytest.raises(VersionMismatch):
             parse_model(text)
+
+
+def with_repeated_feature(text: str) -> str:
+    """A model text whose first feature and emission row appear twice,
+    with the block counts and checksum made to match."""
+    lines = text.split("\n")[:-2]  # drop the checksum line
+    for header in ("features", "emissions"):
+        i = next(k for k, line in enumerate(lines)
+                 if line.startswith(header + " "))
+        fields = lines[i].split()
+        fields[1] = str(int(fields[1]) + 1)
+        lines[i] = " ".join(fields)
+        lines.insert(i + 1, lines[i + 1])
+    body = "\n".join(lines) + "\n"
+    return f"{body}checksum {zlib.crc32(body.encode('utf-8')):08x}\n"
