@@ -201,7 +201,7 @@ def cmd_eval(args) -> int:
     melodies = (melody for melody, _ in corpus)
     for result in tag_corpus(model, ruleset, melodies):
         predictions.append(result.final)
-        hits, firings = count_satisfied(result.final, result.firing_log)
+        hits, firings = count_satisfied(result.final, result.firings)
         matched += hits
         total += firings
     metrics = evaluate(predictions, corpus)

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ShapeMismatch
-from .rules import Firing, RuleSet, WeightMatrix, build_weight_matrix
+from .rules import CompiledRules, Firing, Firings, RuleSet, WeightMatrix
 from .score import Melody, StateSequence, TagMatrix, TagSet
 from .tagger import PredictionMatrix, TaggerModel, infer
 
@@ -56,7 +56,12 @@ class TagResult:
     p1: WeightMatrix
     p2: PredictionMatrix
     combined: CombinedMatrix
-    firing_log: tuple[Firing, ...]
+    firings: Firings
+
+    @property
+    def firing_log(self) -> tuple[Firing, ...]:
+        """The firings as records, built when read."""
+        return tuple(self.firings.records())
 
 
 # melodies per inference batch: it bounds the padded arrays and the
@@ -69,7 +74,8 @@ def tag_corpus(model: TaggerModel, rules: RuleSet,
     """:func:`tag_with_knowledge` for each melody, in order.
 
     Marginals and base paths come from one batched inference pass per
-    batch of melodies; the rule pass and fusion then run per melody.
+    batch of melodies; the rule pass and fusion then run per melody,
+    each note test evaluated once per distinct note of the call.
     Results are yielded one at a time, so a caller that does not keep
     them holds at most one batch.  A ruleset bound to another tag set
     than the model's raises ShapeMismatch on the first ``next``.
@@ -77,15 +83,16 @@ def tag_corpus(model: TaggerModel, rules: RuleSet,
     if rules.tagset != model.tagset:
         raise ShapeMismatch("ruleset is bound to a different tag set "
                             "than the model")
+    compiled = CompiledRules(rules)
     melodies = iter(melodies)
     while batch := list(islice(melodies, _BATCH)):
         for melody, (p2, base) in zip(batch, infer(model, batch)):
-            firing_log: list[Firing] = []
-            p1 = build_weight_matrix(rules, melody, base, firing_log)
+            firings = compiled.fire(melody, base)
+            p1 = firings.weight_matrix()
             fused = combine(p1, p2)
             final = decode(fused, model.tagset)
             yield TagResult(final=final, base=base, p1=p1, p2=p2,
-                            combined=fused, firing_log=tuple(firing_log))
+                            combined=fused, firings=firings)
 
 
 def tag_with_knowledge(model: TaggerModel, rules: RuleSet,

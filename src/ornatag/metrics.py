@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LengthMismatch
-from .rules import Firing, RuleSet, collect_firings
+from .rules import CompiledRules, Firing, Firings, RuleSet
 from .score import Melody, StateSequence, TaggedCorpus, TagSet
 
 
@@ -74,16 +74,21 @@ def evaluate(pred: Sequence[StateSequence], gold: TaggedCorpus) -> Metrics:
 
 
 def count_satisfied(pred: StateSequence,
-                    firings: Sequence[Firing]) -> tuple[int, int]:
+                    firings: Firings | Sequence[Firing]) -> tuple[int, int]:
     """(firings whose target got the consequent tag in pred, total firings)."""
-    matched = sum(1 for f in firings if pred[f.target] == f.tag_index)
-    return matched, len(firings)
+    if isinstance(firings, Firings):
+        target, tag_index = firings.target, firings.tag_index
+    else:
+        target, tag_index = np.array([(f.target, f.tag_index) for f in firings],
+                                     dtype=int).reshape(-1, 2).T
+    hits = np.array(pred.tags, dtype=int)[target] == tag_index
+    return int(np.count_nonzero(hits)), len(hits)
 
 
 def rule_firing_counts(pred: StateSequence, melody: Melody, rules: RuleSet,
                        base: StateSequence) -> tuple[int, int]:
     """:func:`count_satisfied` over the firings of ``rules`` on one melody."""
-    return count_satisfied(pred, collect_firings(rules, melody, base))
+    return count_satisfied(pred, CompiledRules(rules).fire(melody, base))
 
 
 def format_metrics(metrics: Metrics, tagset: TagSet) -> str:

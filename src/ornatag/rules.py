@@ -24,6 +24,10 @@ consequent tag at ``anchor + consequent offset`` by its weight wherever
 its antecedent holds; out-of-range targets are skipped.  Weights below
 1 suppress, above 1 boost, and firings compose multiplicatively, so
 rule order never changes the result.
+
+:class:`CompiledRules` evaluates each clause as a boolean mask over the
+positions, note tests once per distinct note.  Firings stay arrays
+(:class:`Firings`); :class:`Firing` records are built on demand.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .score import (
     digit_limit,
     exceeds_digit_limit,
     iter_data_lines,
+    note_numbers,
 )
 
 FEATURES = ("duration", "midi", "octave", "step", "position", "pred")
@@ -402,60 +407,113 @@ def serialize_rules(ruleset: RuleSet) -> str:
 # -- evaluation ------------------------------------------------------------------
 
 
+_NOTE_ATTRS = {"duration": "duration_ql", "midi": "midi", "octave": "octave",
+               "step": "step"}
+
+
+@dataclass(frozen=True, eq=False)
+class Firings:
+    """One melody's firings as parallel arrays, in firing order."""
+
+    tagset: TagSet
+    length: int
+    rule_line: np.ndarray
+    anchor: np.ndarray
+    target: np.ndarray
+    tag_index: np.ndarray
+    weight: np.ndarray
+
+    def records(self) -> list[Firing]:
+        tags = self.tag_index.tolist()
+        return list(map(Firing, self.rule_line.tolist(), self.anchor.tolist(),
+                        self.target.tolist(), map(self.tagset.name, tags), tags,
+                        self.weight.tolist()))
+
+    def weight_matrix(self) -> WeightMatrix:
+        """Ones, each firing's cell times its weight, one firing at a time."""
+        values = np.ones((len(self.tagset), self.length))
+        np.multiply.at(values, (self.tag_index, self.target), self.weight)
+        return WeightMatrix(values)
+
+
+def _shift(truth: np.ndarray, offset: int) -> np.ndarray:
+    """``truth[t + offset]`` at each t, False where that is out of range."""
+    T = len(truth)
+    k = T + max(-T, min(T, offset))
+    return np.concatenate([np.zeros(T, bool), truth, np.zeros(T, bool)])[k:k + T]
+
+
+class CompiledRules:
+    """A ruleset's clauses as boolean masks, for the melodies of one call.
+
+    Note tests run exactly, on Python values, once per distinct note of
+    the call; a position literal past the melody's end compares like it.
+    """
+
+    def __init__(self, ruleset: RuleSet):
+        self.ruleset = ruleset
+        clauses = [c for rule in ruleset for c in rule.clauses]
+        self._tests = [c for c in clauses if c.feature in _NOTE_ATTRS]
+        self._notes: dict = {}
+        self._truth = np.empty((len(self._tests), 0), dtype=bool)
+        # offsets clipped into int64: a rule fires only where |offset| < T
+        self._line, self._tag, self._offset = np.array(
+            [(r.source_line, r.consequent_index,
+              max(-2**62, min(2**62, r.consequent_offset))) for r in ruleset],
+            dtype=int).reshape(-1, 3).T
+        self._weight = np.array([ruleset.effective_weight(r) for r in ruleset])
+
+    def fire(self, melody: Melody, base: StateSequence) -> Firings:
+        """Every (rule, anchor) whose antecedent holds and target is in range.
+
+        A clause at a position outside the melody is false.  Rules go in
+        source order, anchors left to right.
+        """
+        T = len(melody)
+        notes = iter(())  # the note tests' truth per position, in order
+        if self._tests:
+            ids = note_numbers(melody, self._notes)
+            new = list(self._notes.values())[self._truth.shape[1]:]
+            if new:
+                self._truth = np.hstack([self._truth, np.array(
+                    [[_COMPARE[c.comparator](getattr(note, _NOTE_ATTRS[c.feature]),
+                                             c.value) for _, note in new]
+                     for c in self._tests], dtype=bool)])
+            notes = iter(self._truth[:, ids])
+        anchors = []
+        for rule in self.ruleset:
+            mask = _shift(np.ones(T, dtype=bool), rule.consequent_offset)
+            for clause in rule.clauses:
+                compare = _COMPARE[clause.comparator]
+                if clause.feature == "pred":
+                    truth = compare(np.array(base.tags), clause.value)
+                elif clause.feature == "position":
+                    truth = compare(np.arange(T), min(clause.value, T))
+                else:
+                    truth = next(notes)
+                mask &= _shift(truth, clause.offset)
+            anchors.append(np.flatnonzero(mask))
+        which = np.repeat(np.arange(len(anchors)), list(map(len, anchors)))
+        anchor = np.concatenate([np.zeros(0, dtype=int), *anchors])
+        return Firings(self.ruleset.tagset, T, self._line[which], anchor,
+                       anchor + self._offset[which], self._tag[which],
+                       self._weight[which])
+
+
 def collect_firings(ruleset: RuleSet, melody: Melody,
                     base: StateSequence) -> list[Firing]:
-    """Every (rule, anchor) whose antecedent holds and target is in range.
-
-    A clause whose resolved position falls outside the melody is false,
-    so rules degrade silently at boundaries.  Rules are visited in
-    source order, anchors left to right; this is the sole definition of
-    "the rule fired", shared by weight-matrix construction,
-    rule-satisfaction counts and planted-rule synthesis.
-    """
-    T = len(melody)
-    notes = melody.notes
-    columns = {
-        "duration": [note.duration_ql for note in notes],
-        "midi": [note.midi for note in notes],
-        "octave": [note.octave for note in notes],
-        "step": [note.step for note in notes],
-        "position": range(T),
-        "pred": base.tags,
-    }
-    firings = []
-    for rule in ruleset:
-        shift = rule.consequent_offset
-        anchors = range(max(0, -shift), min(T, T - shift))
-        for clause in rule.clauses:
-            column = columns[clause.feature]
-            offset = clause.offset
-            compare = _COMPARE[clause.comparator]
-            value = clause.value
-            anchors = [t for t in anchors if 0 <= t + offset < T
-                       and compare(column[t + offset], value)]
-        weight = ruleset.effective_weight(rule)
-        firings.extend(
-            Firing(rule_line=rule.source_line, anchor=t, target=t + shift,
-                   tag=rule.consequent_tag, tag_index=rule.consequent_index,
-                   weight=weight)
-            for t in anchors)
-    return firings
+    """:meth:`CompiledRules.fire` on one melody, as Firing records."""
+    return CompiledRules(ruleset).fire(melody, base).records()
 
 
 def build_weight_matrix(ruleset: RuleSet, melody: Melody, base: StateSequence,
                         firing_log: list[Firing] | None = None) -> WeightMatrix:
-    """Apply every rule at every anchor position.
+    """p1 of the firings on one melody, which go to ``firing_log`` if given.
 
-    Starts from all ones; each firing multiplies one cell, so the
-    result is independent of rule order.  When ``firing_log`` is given,
-    every applied firing is appended to it in source-rule order.
+    Each firing multiplies one cell of an all-ones matrix, so the
+    result is independent of rule order.
     """
-    H = len(ruleset.tagset)
-    T = len(melody)
-    values = np.ones((H, T))
-    firings = collect_firings(ruleset, melody, base)
-    for firing in firings:
-        values[firing.tag_index, firing.target] *= firing.weight
+    firings = CompiledRules(ruleset).fire(melody, base)
     if firing_log is not None:
-        firing_log.extend(firings)
-    return WeightMatrix(values)
+        firing_log.extend(firings.records())
+    return firings.weight_matrix()

@@ -98,6 +98,17 @@ class Melody:
         return self.notes[t]
 
 
+def note_numbers(melody: Melody,
+                 numbers: dict[int, tuple[int, Note]]) -> np.ndarray:
+    """Each note's number in ``numbers``, numbering new Note objects.
+
+    ``numbers`` maps ``id(note)`` to (number, note) for one call; holding
+    the note keeps its id unique.  Parsed notes are interned per token.
+    """
+    return np.array([numbers.setdefault(id(note), (len(numbers), note))[0]
+                     for note in melody])
+
+
 @dataclass(frozen=True)
 class TagSet:
     """Ordered technique tags; position in the file defines the index.
@@ -361,23 +372,28 @@ def serialize_tagset(tagset: TagSet) -> str:
 def parse_melody(text: str) -> Melody:
     """Read a melody file: whitespace-separated canonical note tokens."""
     notes = []
+    interned: dict[str, Note] = {}
     for lineno, data, blank in iter_data_lines(text):
         if blank:
             continue
-        notes.extend(_parse_located_note(token, lineno)
+        notes.extend(_parse_located_note(token, lineno, interned)
                      for token in data.split())
     if not notes:
         raise EmptyCorpus("melody file contains no notes")
     return Melody(tuple(notes))
 
 
-def _parse_located_note(token: str, lineno: int) -> Note:
-    """:func:`parse_note`, with any error located at line ``lineno``."""
-    try:
-        return parse_note(token)
-    except InputError as err:
-        err.line = lineno
-        raise
+def _parse_located_note(token: str, lineno: int,
+                        interned: dict[str, Note]) -> Note:
+    """:func:`parse_note` once per token string of one parse (notes are
+    frozen, so shared), with any error located at line ``lineno``."""
+    if token not in interned:
+        try:
+            interned[token] = parse_note(token)
+        except InputError as err:
+            err.line = lineno
+            raise
+    return interned[token]
 
 
 def serialize_melody(melody: Melody) -> str:
@@ -389,6 +405,7 @@ def parse_corpus(text: str, tagset: TagSet) -> TaggedCorpus:
     entries: list[tuple[Melody, StateSequence]] = []
     notes: list[Note] = []
     states: list[int] = []
+    interned: dict[str, Note] = {}
 
     def flush():
         if notes:
@@ -408,7 +425,7 @@ def parse_corpus(text: str, tagset: TagSet) -> TaggedCorpus:
             raise LengthMismatch(
                 f"expected 'note<TAB>tag', got {data!r}", line=lineno)
         token, tag = fields
-        note = _parse_located_note(token, lineno)
+        note = _parse_located_note(token, lineno, interned)
         if tag not in tagset:
             raise UnknownTag(f"unknown tag {tag!r}", token=tag, line=lineno)
         notes.append(note)

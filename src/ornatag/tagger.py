@@ -19,7 +19,8 @@ of a list of melodies from one compile and one emission build.
 
 Training and inference share one compiled, batched path.  A melody is
 compiled once into a T x K int32 array: row t holds the indices of the
-features active at t, in sorted name order.  Unseen features and the
+features active at t, in sorted name order, built once per distinct
+note context and gathered per position.  Unseen features and the
 padding of short rows point at a sentinel index F (the feature count),
 whose weight row is zero, so emissions are K gathers and adds with no
 branch.  A batch stacks into B x T x K indices padded past every
@@ -44,7 +45,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyCorpus, ShapeMismatch
-from .score import Melody, StateSequence, TaggedCorpus, TagMatrix, TagSet
+from .score import (Melody, StateSequence, TaggedCorpus, TagMatrix, TagSet,
+                    note_numbers)
 
 # (numerator, denominator, label) of each bucket's inclusive upper bound
 _DURATION_BUCKETS = (
@@ -217,31 +219,43 @@ def _compile(melodies: Iterable[Melody], vectorizer: FeatureVectorizer,
     """Each melody's T x K int32 feature indices, in one feature pass.
 
     Row t lists the indices of the features active at position t in
-    sorted name order.  Unseen features and the padding of rows shorter
-    than K point at the sentinel ``len(vectorizer)``.  With ``learn``
-    the vectorizer first adds every name not in ``exclude`` as it is
-    met, and is frozen once all melodies are seen.
+    sorted name order, extracted once per distinct context: note, and
+    interval sign (or BOS/EOS) into and out of it.  Unseen features and
+    the padding of rows shorter than K point at the sentinel
+    ``len(vectorizer)``.  With ``learn`` the vectorizer first adds every
+    name not in ``exclude`` as it is met, and is frozen once all
+    melodies are seen.
     """
-    compiled = []
+    notes: dict = {}
+    midi: list[int] = []
+    rows: dict[int, int] = {}  # context key -> row number
+    indices: list[list[int | None]] = []  # per row
+    numbers = []
     for melody in melodies:
-        rows = []
-        for t in range(len(melody)):
-            row = []
-            for name in sorted(extract_features(melody, t)):
-                if learn and name not in exclude:
-                    vectorizer.add(name)
-                index = vectorizer.index(name)
-                row.append(-1 if index is None else index)
-            rows.append(row)
-        width = max(map(len, rows))
-        compiled.append(np.array([row + [-1] * (width - len(row))
-                                  for row in rows], dtype=np.int32))
+        ids = note_numbers(melody, notes)
+        midi += [note.midi for _, note in list(notes.values())[len(midi):]]
+        pitch = np.array(midi)[ids]
+        sign = np.sign(pitch[1:] - pitch[:-1]) + 1
+        edge = [3]  # BOS before the first note, EOS after the last
+        keys = (ids * 16 + np.concatenate([edge, sign]) * 4
+                + np.concatenate([sign, edge])).tolist()
+        for t, key in enumerate(keys):
+            if key not in rows:
+                names = sorted(extract_features(melody, t))
+                for name in names:
+                    if learn and name not in exclude:
+                        vectorizer.add(name)
+                rows[key] = len(indices)
+                indices.append(list(map(vectorizer.index, names)))
+        numbers.append(np.array([rows[key] for key in keys]))
     if learn:
         vectorizer.freeze()
-    sentinel = len(vectorizer)
-    for rows in compiled:
-        rows[rows < 0] = sentinel
-    return compiled
+    F = len(vectorizer)
+    widths = np.array([len(row) for row in indices], dtype=int)
+    table = np.full((len(indices), widths.max(initial=0)), F, dtype=np.int32)
+    for row, known in zip(table, indices):
+        row[:len(known)] = [F if i is None else i for i in known]
+    return [table[n, :widths[n].max()] for n in numbers]
 
 
 def _pad(arrays: Sequence[np.ndarray], fill: int) -> np.ndarray:

@@ -77,6 +77,17 @@ def brute_viterbi(E, Tr):
     return best_path, best_score
 
 
+def reference_vectorizer(melodies, exclude=frozenset()):
+    """``FeatureVectorizer.build``: an ``add`` per position and sorted name."""
+    vectorizer = FeatureVectorizer()
+    for melody in melodies:
+        for t in range(len(melody)):
+            for name in sorted(extract_features(melody, t)):
+                if name not in exclude:
+                    vectorizer.add(name)
+    return vectorizer.freeze()
+
+
 def reference_indices(model, melody):
     """Per position, the indices of its known features in sorted name order."""
     indices = []

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ornatag import tagger
+from ornatag import combine, tagger
 from ornatag.cli import main, parse_config
 from ornatag.errors import InputError
 from ornatag.model_io import load_model, save_model
@@ -637,14 +637,35 @@ class TestEvalPipeline:
 
     def test_features_extracted_once_per_token(self, workdir, capsys,
                                                monkeypatch):
+        """eval extracts features once per distinct context in the corpus.
+
+        A context is a note with the sign of the interval into it (or
+        BOS) and out of it (or EOS).  The corpus is one inference batch,
+        and its tokens are canonical, so equal notes come from equal
+        tokens.
+        """
+        def sign(delta):
+            return (delta > 0) - (delta < 0)
+
+        def context(melody, t):
+            note = melody[t]
+            before = "BOS" if t == 0 else sign(note.midi - melody[t - 1].midi)
+            after = ("EOS" if t == len(melody) - 1
+                     else sign(melody[t + 1].midi - note.midi))
+            return note, before, after
+
         calls = []
 
         def counting(melody, t):
-            calls.append(t)
+            calls.append(context(melody, t))
             return extract_features(melody, t)
 
         corpus = parse_corpus((workdir / "corpus.txt").read_text(),
                               parse_tagset((workdir / "tags.txt").read_text()))
+        assert len(corpus) <= combine._BATCH
+        contexts = {context(melody, t)
+                    for melody, _ in corpus for t in range(len(melody))}
+        assert len(contexts) < corpus.token_count
         rules = workdir / "eval.rules"
         rules.write_text("IF duration(@t) > 1 THEN tag(@t) = trills\n")
         monkeypatch.setattr(tagger, "extract_features", counting)
@@ -653,7 +674,8 @@ class TestEvalPipeline:
             "--corpus", str(workdir / "corpus.txt"), "--rules", str(rules),
         ], capsys)
         assert code == 0
-        assert len(calls) == corpus.token_count
+        assert len(calls) == len(set(calls)) == len(contexts)
+        assert set(calls) == contexts
 
 
 class TestSynth:

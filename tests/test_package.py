@@ -1,7 +1,10 @@
 """The package root: a small, documented set of names."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import ornatag
@@ -38,3 +41,16 @@ def test_every_public_definition_has_a_user():
                     and len(re.findall(rf"\b{node.name}\b", text)) < 2):
                 unused.append(f"{path.name}:{node.name}")
     assert unused == []
+
+
+def test_cli_import_loads_no_test_dependency():
+    """``import ornatag.cli`` in a fresh process pulls in neither scipy
+    nor hypothesis: both are test dependencies, and the import is the
+    start-up cost of every command."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ornatag.cli; "
+         "print(sorted(m for m in ('scipy', 'hypothesis') if m in sys.modules))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert loaded.stdout.strip() == "[]"

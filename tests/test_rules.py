@@ -17,6 +17,7 @@ from ornatag.errors import (
 )
 from ornatag.rules import (
     Clause,
+    CompiledRules,
     Firing,
     Rule,
     RuleSet,
@@ -25,7 +26,13 @@ from ornatag.rules import (
     parse_rules,
     serialize_rules,
 )
-from ornatag.score import Melody, StateSequence, TagSet, digit_limit
+from ornatag.score import (
+    Melody,
+    StateSequence,
+    TagSet,
+    digit_limit,
+    parse_corpus,
+)
 
 TAGS = TagSet(("none", "trills", "fermata", "mordent"))
 
@@ -466,14 +473,60 @@ def melody_and_base(draw):
     return melody_from_tokens(tokens), StateSequence(tuple(base))
 
 
+@st.composite
+def shared_corpus(draw):
+    """1-4 melodies parsed as one corpus, so equal tokens share one Note;
+    each melody's gold tags serve as its base path."""
+    blocks = draw(st.lists(st.lists(
+        st.tuples(st.sampled_from(["C4:1", "D4:1/2", "C5:4", "E3:2", "C4:2/2"]),
+                  st.sampled_from(TAGS.tags)),
+        min_size=1, max_size=6), min_size=1, max_size=4))
+    text = "\n".join("".join(f"{token}\t{tag}\n" for token, tag in block)
+                     for block in blocks)
+    return list(parse_corpus(text, TAGS))
+
+
 class TestCollectFirings:
-    """The column pass against the per-anchor reference."""
+    """The mask pass against the per-anchor reference."""
 
     @given(st.lists(random_rule_lines(), min_size=1, max_size=6),
            melody_and_base())
     def test_matches_reference_firings(self, lines, melody_base):
         melody, base = melody_base
         ruleset = parse_rules("".join(f"{l}\n" for l in lines), TAGS)
+        assert (collect_firings(ruleset, melody, base)
+                == reference_firings(ruleset, melody, base))
+
+    @given(st.lists(random_rule_lines(), max_size=6), shared_corpus())
+    def test_one_compiled_ruleset_across_melodies(self, lines, corpus):
+        """One CompiledRules fires each melody as the reference does, and
+        its weight matrix is the product over the firings in order."""
+        ruleset = parse_rules("".join(f"{l}\n" for l in lines), TAGS)
+        compiled = CompiledRules(ruleset)
+        for melody, base in corpus:
+            firings = compiled.fire(melody, base)
+            expected = reference_firings(ruleset, melody, base)
+            assert firings.records() == expected
+            values = np.ones((len(TAGS), len(melody)))
+            for firing in expected:
+                values[firing.tag_index, firing.target] *= firing.weight
+            np.testing.assert_array_equal(
+                firings.weight_matrix().values, values)
+
+    @pytest.mark.parametrize("line", [
+        "IF midi(@t) < 100000000000000000000 THEN tag(@t) = trills",
+        "IF octave(@t) >= 99999999999999999999 THEN tag(@t) = trills",
+        "IF position(@t) > 100000000000000000000 THEN tag(@t) = trills",
+        "IF position(@t) < 100000000000000000000 THEN tag(@t) = trills",
+        "IF midi(@t-100000000000000000000) > 1 THEN tag(@t) = fermata",
+        "IF step(@t) == C THEN tag(@t+100000000000000000000) = fermata",
+        "IF duration(@t) < 100000000000000000001/100000000000000000000 "
+        "THEN tag(@t) = mordent",
+    ])
+    def test_literals_past_int64_match_reference(self, line):
+        melody = melody_from_tokens(["C4:1", "D4:2", "C4:1", "E5:1/2"])
+        base = StateSequence((0, 1, 2, 3))
+        ruleset = parse_rules(line + "\n", TAGS)
         assert (collect_firings(ruleset, melody, base)
                 == reference_firings(ruleset, melody, base))
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from ornatag.errors import (
     EmptyCorpus,
+    InputError,
     InvalidDuration,
     InvalidOctave,
     InvalidStep,
@@ -371,3 +372,85 @@ class TestStructuralInvariants:
         ts = TagSet(("none", "trills"))
         corpus = TaggedCorpus(ts, ())
         assert len(corpus) == 0 and corpus.token_count == 0
+
+
+_GOOD = ("C4:1", "C4:2/2", "D4:1/2", "Bb3:2", "F##5:4", "G2:1/4")
+_BAD = ("H4:1", "C4", "C4:0", "C10:1", "C4:1/0", "4C:1", "C4:x", "B#9:1",
+        "C:1", "Cb0:1")
+_TAGS = TagSet(("none", "trills"))
+
+# text near the note and corpus grammar, so the parsers get past their
+# first check, and arbitrary text
+_NEAR = "ABCDEFGHbcx#:/0129 \t\n"
+_TEXTS = st.one_of(st.text(), st.text(alphabet=_NEAR))
+_PARSERS = (parse_note, parse_melody, lambda text: parse_corpus(text, _TAGS),
+            parse_tagset)
+
+
+def _error_of(token):
+    with pytest.raises(InputError) as info:
+        parse_note(token)
+    return info.value
+
+
+class TestParserFuzz:
+    """The text parsers on arbitrary input, and per-call note interning."""
+
+    @given(_TEXTS)
+    def test_parsers_raise_only_input_errors(self, text):
+        for parse in _PARSERS:
+            try:
+                parse(text)
+            except InputError:
+                pass
+
+    @given(st.lists(st.tuples(st.text(alphabet=_NEAR, max_size=8),
+                              st.sampled_from(("none", "trills", "x", ""))),
+                    max_size=8))
+    def test_corpus_lines_raise_only_input_errors(self, pairs):
+        text = "".join(f"{token}\t{tag}\n" for token, tag in pairs)
+        try:
+            parse_corpus(text, _TAGS)
+        except InputError:
+            pass
+
+    @given(st.lists(st.lists(st.tuples(st.sampled_from(_GOOD),
+                                       st.sampled_from(_TAGS.tags)),
+                             min_size=1, max_size=6), min_size=1, max_size=4))
+    def test_interned_corpus_equals_one_parse_per_token(self, blocks):
+        text = "\n".join("".join(f"{token}\t{tag}\n" for token, tag in block)
+                         for block in blocks)
+        corpus = parse_corpus(text, _TAGS)
+        assert corpus == TaggedCorpus(_TAGS, tuple(
+            (Melody(tuple(parse_note(token) for token, _ in block)),
+             StateSequence(tuple(_TAGS.index(tag) for _, tag in block)))
+            for block in blocks))
+        first = {}
+        for (melody, _), block in zip(corpus, blocks):
+            for note, (token, _) in zip(melody, block):
+                assert first.setdefault(token, note) is note
+        # no note outlives its call: a second parse makes new objects
+        again = parse_corpus(text, _TAGS)
+        assert again.entries[0][0][0] is not corpus.entries[0][0][0]
+        melody = parse_melody(" ".join(token for token, _ in blocks[0]))
+        assert melody == corpus.entries[0][0]
+        assert len({id(note) for note in melody}) == len(
+            {token for token, _ in blocks[0]})
+
+    @given(st.sampled_from(_BAD),
+           st.lists(st.one_of(st.sampled_from(_GOOD), st.none()),
+                    min_size=1, max_size=6))
+    def test_repeated_bad_token_reports_its_first_line(self, bad, layout):
+        """``None`` in ``layout`` marks the lines holding the bad token."""
+        tokens = [bad if token is None else token for token in layout]
+        if bad not in tokens:
+            tokens.append(bad)
+        want = _error_of(bad)
+        line = tokens.index(bad) + 1
+        corpus = "".join(f"{token}\tnone\n" for token in tokens)
+        melody = "".join(f"{token}\n" for token in tokens)
+        for parse, text in ((lambda text: parse_corpus(text, _TAGS), corpus),
+                            (parse_melody, melody)):
+            with pytest.raises(type(want)) as info:
+                parse(text)
+            assert (info.value.line, info.value.column) == (line, want.column)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from oracles import melody_from_tokens
@@ -24,6 +25,7 @@ from ornatag.score import (
     StateSequence,
     TaggedCorpus,
     TagSet,
+    parse_note,
 )
 from ornatag import tagger
 from ornatag.tagger import (
@@ -31,6 +33,7 @@ from ornatag.tagger import (
     TaggerModel,
     TrainConfig,
     TrainingMeta,
+    _compile,
     _logsumexp,
     duration_bucket,
     emission_matrix,
@@ -155,6 +158,65 @@ class TestVectorizer:
                                       exclude=frozenset({"durbucket=(3,inf)"}))
         assert "durbucket=(3,inf)" not in vec.feature_names
         assert "step=C" in vec.feature_names
+
+
+# "C4:2/2" parses to a note equal to "C4:1"'s
+_TOKENS = ("C4:1", "C4:2/2", "D4:1/2", "Bb3:2", "F#5:4", "G2:1/4", "C4:3")
+_POOL = tuple(parse_note(token) for token in _TOKENS)
+_NAMES = ("step=C", "alt=0", "octave=4", "durbucket=(1/2,1]", "pos=BOS",
+          "pos=EOS", "prev_interval_sign=+", "next_interval_sign=0")
+
+
+@st.composite
+def melody_lists(draw):
+    """1-5 melodies of 1-6 notes; each note is either a shared object from
+    one pool or freshly parsed, so equal notes may or may not be one object."""
+    melodies = []
+    for _ in range(draw(st.integers(1, 5))):
+        notes = []
+        for _ in range(draw(st.integers(1, 6))):
+            i = draw(st.integers(0, len(_TOKENS) - 1))
+            notes.append(parse_note(_TOKENS[i]) if draw(st.booleans())
+                         else _POOL[i])
+        melodies.append(Melody(tuple(notes)))
+    return melodies
+
+
+def expected_rows(vectorizer, melody):
+    """T x K indices of a per-position pass, unseen and padding at F."""
+    F = len(vectorizer)
+    rows = [[F if vectorizer.index(name) is None else vectorizer.index(name)
+             for name in sorted(extract_features(melody, t))]
+            for t in range(len(melody))]
+    width = max(map(len, rows))
+    return np.array([row + [F] * (width - len(row)) for row in rows])
+
+
+class TestCompiledFeatures:
+    """Rows compiled once per context against the per-position oracles."""
+
+    @given(melody_lists(), st.sets(st.sampled_from(_NAMES)))
+    def test_matches_reference_vectorizer_and_indices(self, melodies, exclude):
+        exclude = frozenset(exclude)
+        reference = oracles.reference_vectorizer(melodies, exclude)
+        learned = FeatureVectorizer()
+        learned_rows = _compile(melodies, learned, learn=True, exclude=exclude)
+        assert learned.feature_names == reference.feature_names
+        assert (FeatureVectorizer.build(melodies, exclude).feature_names
+                == reference.feature_names)
+        # a frozen vectorizer that misses names
+        known = FeatureVectorizer.from_names(reference.feature_names[::2])
+        rows = _compile(melodies, known)
+        model = TaggerModel(oracles.random_tagset(2), known,
+                            np.zeros((len(known), 2)), np.zeros((2, 2)),
+                            TrainingMeta(0, 0.0, 0))
+        for melody, got, got_learned in zip(melodies, rows, learned_rows):
+            np.testing.assert_array_equal(got_learned,
+                                          expected_rows(reference, melody))
+            np.testing.assert_array_equal(got, expected_rows(known, melody))
+            assert got.dtype == np.int32
+            assert ([row[row < len(known)].tolist() for row in got]
+                    == oracles.reference_indices(model, melody))
 
 
 class TestPosteriorMarginals:
