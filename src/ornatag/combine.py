@@ -43,8 +43,7 @@ def decode(combined: CombinedMatrix, tagset: TagSet) -> StateSequence:
     if H != len(tagset):
         raise ShapeMismatch(
             f"matrix has {H} rows but the tag set has {len(tagset)} tags")
-    return StateSequence(tuple(
-        int(k) for k in np.argmax(combined.values, axis=0)))
+    return StateSequence(tuple(np.argmax(combined.values, axis=0).tolist()))
 
 
 @dataclass(frozen=True, eq=False)

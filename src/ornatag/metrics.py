@@ -11,12 +11,13 @@ are byte-comparable; the schema is documented in docs/metrics.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .errors import LengthMismatch
-from .rules import CompiledRules, Firing, Firings, RuleSet
+from .rules import CompiledRules, Firings, RuleSet
 from .score import Melody, StateSequence, TaggedCorpus, TagSet
 
 
@@ -43,14 +44,14 @@ def evaluate(pred: Sequence[StateSequence], gold: TaggedCorpus) -> Metrics:
     if len(pred) != len(gold.entries):
         raise LengthMismatch(
             f"{len(pred)} predictions for {len(gold.entries)} gold entries")
-    h = len(gold.tagset)
-    counts = np.zeros((h, h), dtype=int)
-    for sequence, (melody, states) in zip(pred, gold):
+    for sequence, (_, states) in zip(pred, gold):
         if len(sequence) != len(states):
             raise LengthMismatch(
                 f"prediction length {len(sequence)} != gold length {len(states)}")
-        for predicted, actual in zip(sequence, states):
-            counts[actual, predicted] += 1
+    h = len(gold.tagset)
+    counts = np.zeros((h, h), dtype=int)
+    np.add.at(counts, (np.fromiter(chain.from_iterable(s for _, s in gold), int),
+                       np.fromiter(chain.from_iterable(pred), int)), 1)
     total = counts.sum()
     if total == 0:
         raise LengthMismatch("no tokens to evaluate")
@@ -73,15 +74,9 @@ def evaluate(pred: Sequence[StateSequence], gold: TaggedCorpus) -> Metrics:
                    macro_f1=macro_f1, counts=counts)
 
 
-def count_satisfied(pred: StateSequence,
-                    firings: Firings | Sequence[Firing]) -> tuple[int, int]:
+def count_satisfied(pred: StateSequence, firings: Firings) -> tuple[int, int]:
     """(firings whose target got the consequent tag in pred, total firings)."""
-    if isinstance(firings, Firings):
-        target, tag_index = firings.target, firings.tag_index
-    else:
-        target, tag_index = np.array([(f.target, f.tag_index) for f in firings],
-                                     dtype=int).reshape(-1, 2).T
-    hits = np.array(pred.tags, dtype=int)[target] == tag_index
+    hits = np.array(pred.tags, dtype=int)[firings.target] == firings.tag_index
     return int(np.count_nonzero(hits)), len(hits)
 
 

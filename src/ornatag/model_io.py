@@ -113,7 +113,7 @@ def parse_model(text: str) -> TaggerModel:
         tagset = TagSet(tuple(reader.next("tag name") for _ in range(H)))
         (f_text,) = reader.header("features", 1)
         F = int(f_text)
-        vectorizer = FeatureVectorizer.from_names(
+        vectorizer = FeatureVectorizer(
             [reader.next("feature name") for _ in range(F)])
         rows_f, cols_h = map(int, reader.header("emissions", 2))
         if (rows_f, cols_h) != (F, H):

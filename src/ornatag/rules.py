@@ -26,8 +26,9 @@ its antecedent holds; out-of-range targets are skipped.  Weights below
 rule order never changes the result.
 
 :class:`CompiledRules` evaluates each clause as a boolean mask over the
-positions, note tests once per distinct note.  Firings stay arrays
-(:class:`Firings`); :class:`Firing` records are built on demand.
+positions, note tests once per distinct note value of the call.
+Firings stay arrays (:class:`Firings`); :class:`Firing` records are
+built on demand.
 """
 
 from __future__ import annotations
@@ -473,20 +474,21 @@ class CompiledRules:
         notes = iter(())  # the note tests' truth per position, in order
         if self._tests:
             ids = note_numbers(melody, self._notes)
-            new = list(self._notes.values())[self._truth.shape[1]:]
+            new = list(self._notes)[self._truth.shape[1]:]
             if new:
                 self._truth = np.hstack([self._truth, np.array(
                     [[_COMPARE[c.comparator](getattr(note, _NOTE_ATTRS[c.feature]),
-                                             c.value) for _, note in new]
+                                             c.value) for note in new]
                      for c in self._tests], dtype=bool)])
             notes = iter(self._truth[:, ids])
+        pred = np.array(base.tags)
         anchors = []
         for rule in self.ruleset:
             mask = _shift(np.ones(T, dtype=bool), rule.consequent_offset)
             for clause in rule.clauses:
                 compare = _COMPARE[clause.comparator]
                 if clause.feature == "pred":
-                    truth = compare(np.array(base.tags), clause.value)
+                    truth = compare(pred, clause.value)
                 elif clause.feature == "position":
                     truth = compare(np.arange(T), min(clause.value, T))
                 else:
@@ -506,14 +508,7 @@ def collect_firings(ruleset: RuleSet, melody: Melody,
     return CompiledRules(ruleset).fire(melody, base).records()
 
 
-def build_weight_matrix(ruleset: RuleSet, melody: Melody, base: StateSequence,
-                        firing_log: list[Firing] | None = None) -> WeightMatrix:
-    """p1 of the firings on one melody, which go to ``firing_log`` if given.
-
-    Each firing multiplies one cell of an all-ones matrix, so the
-    result is independent of rule order.
-    """
-    firings = CompiledRules(ruleset).fire(melody, base)
-    if firing_log is not None:
-        firing_log.extend(firings.records())
-    return firings.weight_matrix()
+def build_weight_matrix(ruleset: RuleSet, melody: Melody,
+                        base: StateSequence) -> WeightMatrix:
+    """p1 of the firings on one melody; rule order does not change it."""
+    return CompiledRules(ruleset).fire(melody, base).weight_matrix()

@@ -10,7 +10,10 @@ with accidental one of ``#``, ``##``, ``b``, ``bb``, octave a single
 digit 0-9, and duration ``int`` or ``int/int``.
 
 All types are immutable after construction and safe to share across
-threads; the parsers and serializers are pure functions.
+threads; the parsers and serializers are pure functions.  A note
+hashes its value once, so the per-call tables of :func:`note_numbers`
+number notes by value: equal notes share a number, whether parsed,
+interned or built fresh.
 """
 
 from __future__ import annotations
@@ -71,6 +74,13 @@ class Note:
             raise ValueError(f"duration must be positive: {self.duration_ql}")
         if not MIDI_MIN <= self.midi <= MIDI_MAX:
             raise ValueError(f"pitch outside MIDI range [12, 127]: {self.midi}")
+        # hashed once; midi and alteration fix step and octave, and ints
+        # and a Fraction hash alike in every process, so pickles keep it
+        object.__setattr__(self, "_hash", hash(
+            (self.midi, self.alteration, self.duration_ql)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def midi(self) -> int:
@@ -98,14 +108,9 @@ class Melody:
         return self.notes[t]
 
 
-def note_numbers(melody: Melody,
-                 numbers: dict[int, tuple[int, Note]]) -> np.ndarray:
-    """Each note's number in ``numbers``, numbering new Note objects.
-
-    ``numbers`` maps ``id(note)`` to (number, note) for one call; holding
-    the note keeps its id unique.  Parsed notes are interned per token.
-    """
-    return np.array([numbers.setdefault(id(note), (len(numbers), note))[0]
+def note_numbers(melody: Melody, numbers: dict[Note, int]) -> np.ndarray:
+    """Each note's number in ``numbers``, new values numbered as met."""
+    return np.array([numbers.setdefault(note, len(numbers))
                      for note in melody])
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .rules import RuleSet, collect_firings, parse_rules
+from .rules import CompiledRules, RuleSet, parse_rules
 from .score import (
     Melody,
     Note,
@@ -153,6 +153,8 @@ def generate_synthetic(profile: SynthProfile, n_melodies: int,
     length_lo, length_hi = profile.melody_length_range
     durations = [d for d, _ in profile.duration_pool]
     probs_by_tag = {tag: _duration_probs(profile, tag) for tag in tagset}
+    planted = (None if profile.planted_rules is None
+               else CompiledRules(profile.planted_rules))
     entries = []
     for i in range(n_melodies):
         rng = np.random.default_rng([seed, i])
@@ -170,10 +172,12 @@ def generate_synthetic(profile: SynthProfile, n_melodies: int,
                 len(durations), p=probs_by_tag[tagset.name(tag)]))]
             notes.append(note_from_midi(midi, duration))
         melody = Melody(tuple(notes))
-        if profile.planted_rules is not None:
-            blank = StateSequence(tuple([0] * length))
-            for f in collect_firings(profile.planted_rules, melody, blank):
-                tags[f.target] = f.tag_index
+        if planted is not None:
+            # in firing order, so the last firing on a cell wins
+            firings = planted.fire(melody, StateSequence((0,) * length))
+            for t, tag in zip(firings.target.tolist(),
+                              firings.tag_index.tolist()):
+                tags[t] = tag
         entries.append((melody, StateSequence(tuple(tags))))
     return TaggedCorpus(tagset, tuple(entries))
 

@@ -20,19 +20,21 @@ of a list of melodies from one compile and one emission build.
 Training and inference share one compiled, batched path.  A melody is
 compiled once into a T x K int32 array: row t holds the indices of the
 features active at t, in sorted name order, built once per distinct
-note context and gathered per position.  Unseen features and the
-padding of short rows point at a sentinel index F (the feature count),
-whose weight row is zero, so emissions are K gathers and adds with no
-branch.  A batch stacks into B x T x K indices padded past every
-melody's length; the alpha/beta and Viterbi recursions run over the
-B x T x H batch, and a length mask holds beta at zero from each
-melody's last position and starts its Viterbi suffix maxima there.
-``train`` compiles the corpus in the same pass that builds the
-vectorizer.  The gradient is scattered with ``np.bincount`` in the
-order of the per-position loop it replaced (melody, then position,
-each marginal before the gold count), and numpy reduces every batch
-row as it reduced the single melody, so models, marginals and paths
-are bit-identical to the per-melody loops'.
+note context (notes numbered by value) and gathered per position.
+Unseen features and the padding of short rows point at a sentinel
+index F (the feature count), whose weight row is zero, so emissions
+are K gathers and adds with no branch.  A batch stacks into B x T x K
+indices padded past every melody's length; the alpha/beta and Viterbi
+recursions run over the B x T x H batch, and a length mask holds beta
+at zero from each melody's last position and starts its Viterbi
+suffix maxima there.  A vectorizer's names are fixed when it is
+built; ``train`` learns them in the same pass that compiles the
+corpus.  Each melody's gradient is scattered with ``np.add.at``,
+which adds in index order: the order of the per-position loop it
+replaced (melody, then position, each marginal before the gold
+count).  numpy reduces every batch row as it reduced the single
+melody, so models, marginals and paths are bit-identical to the
+per-melody loops'.
 """
 
 from __future__ import annotations
@@ -112,11 +114,14 @@ def extract_features(melody: Melody, t: int) -> frozenset[str]:
 
 
 class FeatureVectorizer:
-    """Feature-name to index mapping, frozen after training data is seen."""
+    """Distinct feature names at indices 0.., fixed at construction."""
 
-    def __init__(self):
+    def __init__(self, names: Iterable[str]):
         self._indices: dict[str, int] = {}
-        self._frozen = False
+        for name in names:
+            if name in self._indices:
+                raise ValueError(f"repeated feature name {name!r}")
+            self._indices[name] = len(self._indices)
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -125,17 +130,6 @@ class FeatureVectorizer:
     def __len__(self) -> int:
         return len(self._indices)
 
-    def add(self, name: str) -> int:
-        if self._frozen:
-            raise ValueError("vectorizer is frozen")
-        if name not in self._indices:
-            self._indices[name] = len(self._indices)
-        return self._indices[name]
-
-    def freeze(self) -> "FeatureVectorizer":
-        self._frozen = True
-        return self
-
     def index(self, name: str) -> int | None:
         """Index of ``name``; None when unseen (weight zero at inference)."""
         return self._indices.get(name)
@@ -143,24 +137,8 @@ class FeatureVectorizer:
     @classmethod
     def build(cls, melodies: Iterable[Melody],
               exclude: frozenset[str] = frozenset()) -> "FeatureVectorizer":
-        """Observe every position of every melody, in order, then freeze.
-
-        Feature names are visited in sorted order per position so the
-        index assignment is reproducible.
-        """
-        vec = cls()
-        _compile(melodies, vec, learn=True, exclude=exclude)
-        return vec
-
-    @classmethod
-    def from_names(cls, names: Sequence[str]) -> "FeatureVectorizer":
-        """Vectorizer with ``names`` at indices 0.., which must be distinct."""
-        vec = cls()
-        for name in names:
-            if vec.index(name) is not None:
-                raise ValueError(f"repeated feature name {name!r}")
-            vec.add(name)
-        return vec.freeze()
+        """The melodies' feature names not in ``exclude``, as first met."""
+        return _compile(melodies, exclude=exclude)[0]
 
 
 @dataclass(frozen=True)
@@ -213,19 +191,21 @@ class PredictionMatrix(TagMatrix):
             raise ValueError(f"columns must sum to 1 within 1e-9: {sums}")
 
 
-def _compile(melodies: Iterable[Melody], vectorizer: FeatureVectorizer,
-             learn: bool = False,
-             exclude: frozenset[str] = frozenset()) -> list[np.ndarray]:
-    """Each melody's T x K int32 feature indices, in one feature pass.
+def _compile(melodies: Iterable[Melody],
+             vectorizer: FeatureVectorizer | None = None,
+             exclude: frozenset[str] = frozenset()
+             ) -> tuple[FeatureVectorizer, list[np.ndarray]]:
+    """The vectorizer, and each melody's T x K int32 feature indices.
 
     Row t lists the indices of the features active at position t in
     sorted name order, extracted once per distinct context: note, and
     interval sign (or BOS/EOS) into and out of it.  Unseen features and
     the padding of rows shorter than K point at the sentinel
-    ``len(vectorizer)``.  With ``learn`` the vectorizer first adds every
-    name not in ``exclude`` as it is met, and is frozen once all
-    melodies are seen.
+    ``len(vectorizer)``.  Without a ``vectorizer`` one is learned in the
+    same pass: every name not in ``exclude``, indexed as first met.
     """
+    learned: dict[str, int] = {}
+    index = learned.get if vectorizer is None else vectorizer.index
     notes: dict = {}
     midi: list[int] = []
     rows: dict[int, int] = {}  # context key -> row number
@@ -233,7 +213,7 @@ def _compile(melodies: Iterable[Melody], vectorizer: FeatureVectorizer,
     numbers = []
     for melody in melodies:
         ids = note_numbers(melody, notes)
-        midi += [note.midi for _, note in list(notes.values())[len(midi):]]
+        midi += [note.midi for note in list(notes)[len(midi):]]
         pitch = np.array(midi)[ids]
         sign = np.sign(pitch[1:] - pitch[:-1]) + 1
         edge = [3]  # BOS before the first note, EOS after the last
@@ -242,20 +222,21 @@ def _compile(melodies: Iterable[Melody], vectorizer: FeatureVectorizer,
         for t, key in enumerate(keys):
             if key not in rows:
                 names = sorted(extract_features(melody, t))
-                for name in names:
-                    if learn and name not in exclude:
-                        vectorizer.add(name)
+                if vectorizer is None:
+                    for name in names:
+                        if name not in exclude:
+                            learned.setdefault(name, len(learned))
                 rows[key] = len(indices)
-                indices.append(list(map(vectorizer.index, names)))
+                indices.append(list(map(index, names)))
         numbers.append(np.array([rows[key] for key in keys]))
-    if learn:
-        vectorizer.freeze()
+    if vectorizer is None:
+        vectorizer = FeatureVectorizer(learned)
     F = len(vectorizer)
     widths = np.array([len(row) for row in indices], dtype=int)
     table = np.full((len(indices), widths.max(initial=0)), F, dtype=np.int32)
     for row, known in zip(table, indices):
         row[:len(known)] = [F if i is None else i for i in known]
-    return [table[n, :widths[n].max()] for n in numbers]
+    return vectorizer, [table[n, :widths[n].max()] for n in numbers]
 
 
 def _pad(arrays: Sequence[np.ndarray], fill: int) -> np.ndarray:
@@ -283,7 +264,7 @@ def _emissions(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
 def emission_matrix(model: TaggerModel, melody: Melody) -> np.ndarray:
     """T x H matrix of emission scores; unseen features contribute zero."""
     return _emissions(model.emission_weights,
-                      _compile([melody], model.vectorizer)[0])
+                      _compile([melody], model.vectorizer)[1][0])
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -358,6 +339,15 @@ def _viterbi(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return path
 
 
+def _crf_pass(model: TaggerModel, features: Sequence[np.ndarray]):
+    """(lengths, E, log_alpha, log_beta, log_z) of compiled melodies: one
+    emission build over the padded batch, and forward-backward on it."""
+    lengths = np.array([len(rows) for rows in features])
+    E = _emissions(model.emission_weights, _pad(features, model.num_features))
+    return (lengths, E,
+            *_forward_backward(E, model.transition_weights, lengths))
+
+
 def infer(model: TaggerModel, melodies: Sequence[Melody]
           ) -> list[tuple[PredictionMatrix, StateSequence]]:
     """Posterior marginals and Viterbi path of each melody, in one batch.
@@ -370,19 +360,16 @@ def infer(model: TaggerModel, melodies: Sequence[Melody]
     """
     if not melodies:
         return []
-    Tr = model.transition_weights
-    lengths = np.array([len(melody) for melody in melodies])
-    features = _compile(melodies, model.vectorizer)
-    E = _emissions(model.emission_weights, _pad(features, model.num_features))
-    log_alpha, log_beta, log_z = _forward_backward(E, Tr, lengths)
-    paths = _viterbi(E, Tr, lengths)
+    _, features = _compile(melodies, model.vectorizer)
+    lengths, E, log_alpha, log_beta, log_z = _crf_pass(model, features)
+    paths = _viterbi(E, model.transition_weights, lengths)
     results = []
     for b, T in enumerate(lengths):
         marginals = np.exp(log_alpha[b, :T] + log_beta[b, :T] - log_z[b]).T
         # exact within float error already; renormalize to pin column sums
         marginals /= marginals.sum(axis=0, keepdims=True)
         results.append((PredictionMatrix(marginals),
-                        StateSequence(tuple(int(k) for k in paths[b, :T]))))
+                        StateSequence(tuple(paths[b, :T].tolist()))))
     return results
 
 
@@ -429,10 +416,8 @@ def _batch_nll(model: TaggerModel, features: Sequence[np.ndarray],
     """
     Tr = model.transition_weights
     F, H = model.emission_weights.shape
-    lengths = np.array([len(gold) for gold in golds])
+    lengths, E, log_alpha, log_beta, log_z = _crf_pass(model, features)
     gold = _pad(golds, 0)
-    E = _emissions(model.emission_weights, _pad(features, F))
-    log_alpha, log_beta, log_z = _forward_backward(E, Tr, lengths)
     gold_steps = np.take_along_axis(E, gold[:, :, None], axis=2)[:, :, 0]
     gold_steps[:, 1:] += Tr[gold[:, :-1], gold[:, 1:]]
     gold_score = np.cumsum(gold_steps, axis=1)[np.arange(len(golds)),
@@ -459,13 +444,8 @@ def _batch_nll(model: TaggerModel, features: Sequence[np.ndarray],
             ((F + 1) * H + g[:-1] * H + g[1:])[:, None]], axis=1)
         pair_add = np.concatenate([pair.reshape(T - 1, H * H),
                                    np.full((T - 1, 1), -1.0)], axis=1)
-        # the running counts go in first, so bincount continues their sums
-        counts[:] = np.bincount(
-            np.concatenate([np.arange(counts.size), emission_at.ravel(),
-                            pair_at.ravel()]),
-            weights=np.concatenate([counts, emission_add.ravel(),
-                                    pair_add.ravel()]),
-            minlength=counts.size)
+        np.add.at(counts, np.concatenate([emission_at.ravel(), pair_at.ravel()]),
+                  np.concatenate([emission_add.ravel(), pair_add.ravel()]))
     return loss
 
 
@@ -496,7 +476,7 @@ def nll_and_gradient(model: TaggerModel, batch: TaggedCorpus,
     """
     if len(batch) == 0:
         raise EmptyCorpus("gradient of an empty batch")
-    features = _compile((melody for melody, _ in batch), model.vectorizer)
+    _, features = _compile((melody for melody, _ in batch), model.vectorizer)
     golds = [np.array(gold.tags) for _, gold in batch]
     return _nll_and_gradient(model, features, golds, l2)
 
@@ -549,9 +529,8 @@ def train(corpus: TaggedCorpus, config: TrainConfig = TrainConfig(),
         raise EmptyCorpus("cannot train on an empty corpus")
     tagset = corpus.tagset
     H = len(tagset)
-    vectorizer = FeatureVectorizer()
-    features = _compile((melody for melody, _ in corpus), vectorizer,
-                        learn=True, exclude=config.exclude_features)
+    vectorizer, features = _compile((melody for melody, _ in corpus),
+                                    exclude=config.exclude_features)
     golds = [np.array(gold.tags) for _, gold in corpus]
     F = len(vectorizer)
     emissions = np.zeros((F, H))

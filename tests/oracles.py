@@ -78,14 +78,15 @@ def brute_viterbi(E, Tr):
 
 
 def reference_vectorizer(melodies, exclude=frozenset()):
-    """``FeatureVectorizer.build``: an ``add`` per position and sorted name."""
-    vectorizer = FeatureVectorizer()
+    """``FeatureVectorizer.build``: names in order of first sight, per
+    position and sorted name."""
+    names = []
     for melody in melodies:
         for t in range(len(melody)):
             for name in sorted(extract_features(melody, t)):
-                if name not in exclude:
-                    vectorizer.add(name)
-    return vectorizer.freeze()
+                if name not in exclude and name not in names:
+                    names.append(name)
+    return FeatureVectorizer(names)
 
 
 def reference_indices(model, melody):

@@ -7,11 +7,13 @@ whole pipeline runs exactly as a shell user would see it.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ornatag import combine, tagger
 from ornatag.cli import main, parse_config
@@ -34,7 +36,7 @@ from ornatag.tagger import (
     extract_features,
     posterior_marginals,
 )
-from test_tagger import with_repeated_feature
+from test_tagger import feature_context, with_repeated_feature
 
 DATA = Path(__file__).parent / "data"
 
@@ -126,6 +128,26 @@ class TestConfigFile:
         """A non-integer epoch count is rejected."""
         with pytest.raises(InputError):
             parse_config("epochs=two\n")
+
+    @given(st.text())
+    def test_arbitrary_text_raises_only_input_errors(self, text):
+        try:
+            parse_config(text)
+        except InputError:
+            pass
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(("epochs", "step_size", "l2", "batch", "seed", "h1",
+                         "h2", "momentum", "", " epochs ", "#")),
+        st.sampled_from(("=", " = ", "", "==", "#=")),
+        st.sampled_from(("1", "0", "-1", "2.5", "1e999", "-1e999", "nan",
+                         "inf", "-0", "0x10", "1_000", "9" * 5000, "", "#",
+                         "١")) | st.text(max_size=6)), max_size=6))
+    def test_near_grammar_raises_only_input_errors(self, lines):
+        try:
+            parse_config("".join(f"{k}{eq}{v}\n" for k, eq, v in lines))
+        except InputError:
+            pass
 
     def test_config_sets_epochs(self, workdir, tmp_path, capsys):
         """Config epochs drive the number of loss lines."""
@@ -605,6 +627,18 @@ class TestEvalPipeline:
         assert code == 0
         assert out == (DATA / golden).read_text()
 
+    @pytest.mark.parametrize("name, digest", [
+        ("corpus.txt",
+         "82050ec4cc5e2f87793288c69bfa0eb8d5f403a233b64571a10a8f89355f6ba9"),
+        ("model.txt",
+         "b34ca8927f1930984a1dda6605f52f7ebdafd033f0c39b4ac4001d82daa702bc"),
+    ])
+    def test_readme_quick_start_files_are_unchanged(self, readme_pipeline,
+                                                    name, digest):
+        """The quick-start's synth corpus and trained model, by SHA-256."""
+        data = (readme_pipeline / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_readme_quick_start_tag_set_is_unchanged(self, readme_pipeline):
         assert (readme_pipeline / "tags.txt").read_bytes() == \
             (DATA / "readme_tags.txt").read_bytes()
@@ -635,43 +669,40 @@ class TestEvalPipeline:
         else:
             assert not explain.exists()
 
-    def test_features_extracted_once_per_token(self, workdir, capsys,
-                                               monkeypatch):
+    def test_features_extracted_once_per_token(self, workdir, tmp_path,
+                                               capsys, monkeypatch):
         """eval extracts features once per distinct context in the corpus.
 
         A context is a note with the sign of the interval into it (or
-        BOS) and out of it (or EOS).  The corpus is one inference batch,
-        and its tokens are canonical, so equal notes come from equal
-        tokens.
+        BOS) and out of it (or EOS).  The corpus is one inference batch.
+        Its last melody writes one note as two tokens, C4:1 and C4:2/2,
+        in one context, so equal notes share it.
         """
-        def sign(delta):
-            return (delta > 0) - (delta < 0)
-
-        def context(melody, t):
-            note = melody[t]
-            before = "BOS" if t == 0 else sign(note.midi - melody[t - 1].midi)
-            after = ("EOS" if t == len(melody) - 1
-                     else sign(melody[t + 1].midi - note.midi))
-            return note, before, after
-
         calls = []
 
         def counting(melody, t):
-            calls.append(context(melody, t))
+            calls.append(feature_context(melody, t))
             return extract_features(melody, t)
 
-        corpus = parse_corpus((workdir / "corpus.txt").read_text(),
+        text = ((workdir / "corpus.txt").read_text() + "\n" + "".join(
+            f"{token}\tnone\n" for token in
+            ("D4:1", "C4:1", "D4:1", "C4:2/2", "D4:1")))
+        corpus_path = tmp_path / "corpus.txt"
+        corpus_path.write_text(text)
+        corpus = parse_corpus(text,
                               parse_tagset((workdir / "tags.txt").read_text()))
         assert len(corpus) <= combine._BATCH
-        contexts = {context(melody, t)
+        contexts = {feature_context(melody, t)
                     for melody, _ in corpus for t in range(len(melody))}
         assert len(contexts) < corpus.token_count
-        rules = workdir / "eval.rules"
+        last = corpus.entries[-1][0]
+        assert feature_context(last, 1) == feature_context(last, 3)
+        rules = tmp_path / "eval.rules"
         rules.write_text("IF duration(@t) > 1 THEN tag(@t) = trills\n")
         monkeypatch.setattr(tagger, "extract_features", counting)
         code, _, _ = run_cli([
             "eval", "--model", str(workdir / "model.txt"),
-            "--corpus", str(workdir / "corpus.txt"), "--rules", str(rules),
+            "--corpus", str(corpus_path), "--rules", str(rules),
         ], capsys)
         assert code == 0
         assert len(calls) == len(set(calls)) == len(contexts)

@@ -15,7 +15,8 @@ from ornatag.combine import (
     tag_with_knowledge,
 )
 from ornatag.errors import ShapeMismatch
-from ornatag.rules import RuleSet, WeightMatrix, build_weight_matrix, parse_rules
+from ornatag.rules import (RuleSet, WeightMatrix, build_weight_matrix,
+                           collect_firings, parse_rules)
 from ornatag.score import (
     StateSequence,
     TagMatrix,
@@ -310,8 +311,8 @@ class TestStoredFlipFixture:
     def test_flip_is_exactly_two_rule_firings(self):
         tagset, melody, rules, p2 = self.load()
         base = decode(CombinedMatrix(p2.values), tagset)
-        log = []
-        p1 = build_weight_matrix(rules, melody, base, log)
+        p1 = build_weight_matrix(rules, melody, base)
+        log = collect_firings(rules, melody, base)
         assert [(f.target, f.tag) for f in log] == [
             (2, "mordent"), (4, "trills")]
         expected = np.ones((4, 5))

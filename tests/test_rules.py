@@ -16,6 +16,7 @@ from ornatag.errors import (
     UnknownTag,
 )
 from ornatag.rules import (
+    FEATURES,
     Clause,
     CompiledRules,
     Firing,
@@ -238,6 +239,49 @@ class TestParseRules:
         assert (exc.value.line, exc.value.column) == (2, column)
 
 
+# slots of the rule grammar, each filled with good and bad text, so that
+# generated lines reach every stage of the parser
+_POSREFS = ("(@t)", "(@t+1)", "(@t-2)", "(@t+99999999999999999999)", "(t)",
+            "(@t", "")
+_OPS = ("==", "!=", "<", "<=", ">", ">=", "=", "")
+_NUMBERS = ("3", "0", "1/4", "1/0", "0/0", "2.5", "0.0", "1e999", "1e-999",
+            "9" * 5000, "\u0663", "")
+_LITERALS = _NUMBERS + ("C", "c", "H", "none", "trills", "x")
+_CLAUSES = st.builds("{}{} {} {}".format,
+                     st.sampled_from(FEATURES + ("pitch", "IF", "")),
+                     st.sampled_from(_POSREFS), st.sampled_from(_OPS),
+                     st.sampled_from(_LITERALS))
+_RULE_LINES = st.one_of(
+    st.builds("{} {} {} tag{} {} {} {}".format,
+              st.sampled_from(("IF", "if", "")),
+              st.lists(_CLAUSES, max_size=3).map(" AND ".join),
+              st.sampled_from(("THEN", "")), st.sampled_from(_POSREFS),
+              st.sampled_from(("=", "==", "")),
+              st.sampled_from(("trills", "none", "vibrato", "3", "")),
+              st.sampled_from(("",) + tuple(f"WEIGHT {n}" for n in _NUMBERS))),
+    st.builds("{} {}".format, st.sampled_from(("H1", "H2", "H3")),
+              st.sampled_from(_NUMBERS)),
+    st.text(alphabet="IFTHEN@t()=<>!/.0123456789 #", max_size=12))
+
+
+class TestRuleParserFuzz:
+    """parse_rules raises only InputError, on any text."""
+
+    @given(st.text())
+    def test_arbitrary_text(self, text):
+        try:
+            parse_rules(text, TAGS)
+        except InputError:
+            pass
+
+    @given(st.lists(_RULE_LINES, max_size=4))
+    def test_near_grammar_text(self, lines):
+        try:
+            parse_rules("".join(f"{line}\n" for line in lines), TAGS)
+        except InputError:
+            pass
+
+
 class TestRuleSetDomain:
     """Weights and default confidences are finite and positive."""
 
@@ -384,8 +428,7 @@ class TestBuildWeightMatrix:
         melody = melody_from_tokens(["C1:4", "D1:1"])
         ruleset = parse_rules(
             "IF duration(@t) > 3 THEN tag(@t) = trills WEIGHT 2\n", TAGS)
-        log: list[Firing] = []
-        build_weight_matrix(ruleset, melody, StateSequence((0, 0)), log)
+        log = collect_firings(ruleset, melody, StateSequence((0, 0)))
         assert log == [Firing(rule_line=1, anchor=0, target=0,
                               tag="trills", tag_index=1, weight=2.0)]
 
@@ -394,8 +437,9 @@ class TestBuildWeightMatrix:
         melody = melody_from_tokens(["C1:4", "D1:1", "E1:2"])
         ruleset = parse_rules(
             "IF duration(@t) >= 2 THEN tag(@t) = mordent WEIGHT 3\n", TAGS)
-        log: list[Firing] = []
-        matrix = build_weight_matrix(ruleset, melody, StateSequence((0, 0, 0)), log)
+        base = StateSequence((0, 0, 0))
+        matrix = build_weight_matrix(ruleset, melody, base)
+        log = collect_firings(ruleset, melody, base)
         touched = {(f.tag_index, f.target) for f in log}
         for k in range(4):
             for t in range(3):
@@ -414,9 +458,9 @@ class TestBuildWeightMatrix:
             "IF duration(@t) > 3 THEN tag(@t) = trills WEIGHT 2\n"
             "IF pred(@t) == trills THEN tag(@t+1) = none WEIGHT 4\n")
         big = parse_rules(big_text, TAGS)
-        log: list[Firing] = []
         m_small = build_weight_matrix(small, melody, base)
-        m_big = build_weight_matrix(big, melody, base, log)
+        m_big = build_weight_matrix(big, melody, base)
+        log = collect_firings(big, melody, base)
         new_cells = {(f.tag_index, f.target) for f in log
                      if f.rule_line == 2}
         for k in range(4):

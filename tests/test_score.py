@@ -1,5 +1,8 @@
 """Domain types and text formats: parsing, validation, round trips."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -86,6 +89,26 @@ class TestNote:
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
             Note("H", 0, 4, Fraction(1))
+
+    def test_equal_notes_hash_alike_across_processes(self):
+        """A note unpickled where strings hash differently still finds
+        an equal note's dict entry."""
+        assert hash(Note("C", 0, 4, Fraction(1))) == hash(
+            Note("C", 0, 4, Fraction(2, 2)))
+        make = ("import pickle, sys; from ornatag.score import Note; "
+                "sys.stdout.write(pickle.dumps(Note('C', 1, 4, 3)).hex())")
+        check = ("import pickle, sys; from ornatag.score import Note; "
+                 "note = pickle.loads(bytes.fromhex(sys.stdin.read())); "
+                 "print({Note('C', 1, 4, 3): 'found'}.get(note))")
+        env = dict(os.environ, PYTHONHASHSEED="1")
+        pickled = subprocess.run([sys.executable, "-c", make], env=env,
+                                 capture_output=True, text=True, check=True,
+                                 timeout=60).stdout
+        env["PYTHONHASHSEED"] = "2"
+        found = subprocess.run([sys.executable, "-c", check], env=env,
+                               input=pickled, capture_output=True, text=True,
+                               check=True, timeout=60).stdout
+        assert found.strip() == "found"
 
 
 class TestParseNote:

@@ -1,5 +1,6 @@
 """Synthetic corpus generation, splitting, metrics, and their rendering."""
 
+import hashlib
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -191,6 +192,20 @@ class TestGenerateSynthetic:
                         expected = last if t > 0 else "fermata"
                         assert DEFAULT_TAGS.name(states[t]) == expected
             assert long_notes > 0
+
+    def test_planted_corpus_bytes_are_unchanged(self):
+        """Three planted rules, two of which share cells, over a biased
+        profile: the serialized corpus by SHA-256."""
+        rules = parse_rules(
+            "IF duration(@t+1) > 3 THEN tag(@t+1) = trills\n"
+            "IF duration(@t) > 3 THEN tag(@t) = fermata\n"
+            "IF duration(@t-1) <= 1/4 AND duration(@t) >= 2 "
+            "THEN tag(@t) = mordent\n", DEFAULT_TAGS)
+        profile = SynthProfile(planted_rules=rules,
+                               emission_bias={"trills": {"(3,inf)": 4.0}})
+        text = serialize_corpus(generate_synthetic(profile, 40, seed=11))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "4ab8e6feebf11c6aa4dcff49edaa6d3fccb7a9718b33b6d2c9f002601c88ba81")
 
     def test_gold_satisfaction_is_exactly_one(self):
         profile = SynthProfile(planted_rules=PLANTED)
@@ -390,7 +405,7 @@ class TestRuleSatisfaction:
             "IF midi(@t+1) > 60 THEN tag(@t+1) = tag0 WEIGHT 0.5\n",
             model.tagset)
         result = tag_with_knowledge(model, rules, melody)
-        counts = count_satisfied(result.final, result.firing_log)
+        counts = count_satisfied(result.final, result.firings)
         assert counts[1] > 0
         assert counts == rule_firing_counts(
             result.final, melody, rules, result.base)

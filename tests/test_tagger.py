@@ -11,7 +11,8 @@ from hypothesis import given, strategies as st
 
 import oracles
 from oracles import melody_from_tokens
-from ornatag.errors import CorruptModel, EmptyCorpus, VersionMismatch
+from ornatag.errors import (CorruptModel, EmptyCorpus, InputError,
+                            VersionMismatch)
 from ornatag.model_io import (
     MAGIC,
     load_model,
@@ -25,8 +26,10 @@ from ornatag.score import (
     StateSequence,
     TaggedCorpus,
     TagSet,
+    note_numbers,
     parse_note,
 )
+from ornatag.synth import SynthProfile, generate_synthetic
 from ornatag import tagger
 from ornatag.tagger import (
     FeatureVectorizer,
@@ -130,26 +133,21 @@ class TestExtractFeatures:
 
 
 class TestVectorizer:
-    """Index assignment and the frozen contract."""
+    """Index assignment, fixed at construction."""
 
     def test_indices_contiguous_first_seen(self):
-        vec = FeatureVectorizer()
-        assert vec.add("a") == 0
-        assert vec.add("b") == 1
-        assert vec.add("a") == 0
+        vec = FeatureVectorizer(["a", "b"])
+        assert vec.index("a") == 0
+        assert vec.index("b") == 1
         assert vec.feature_names == ("a", "b")
+        assert len(vec) == 2
 
-    def test_frozen_rejects_growth(self):
-        vec = FeatureVectorizer.from_names(["a"])
-        with pytest.raises(ValueError):
-            vec.add("b")
-
-    def test_from_names_rejects_repeated_name(self):
+    def test_constructor_rejects_repeated_name(self):
         with pytest.raises(ValueError, match="repeated feature name 'a'"):
-            FeatureVectorizer.from_names(["a", "b", "a"])
+            FeatureVectorizer(["a", "b", "a"])
 
     def test_unknown_name_maps_to_none(self):
-        vec = FeatureVectorizer.from_names(["a"])
+        vec = FeatureVectorizer(["a"])
         assert vec.index("missing") is None
 
     def test_build_respects_exclusions(self):
@@ -182,6 +180,19 @@ def melody_lists(draw):
     return melodies
 
 
+def feature_context(melody, t):
+    """What a position's features depend on: its note, and the sign of
+    the interval into it (or BOS) and out of it (or EOS)."""
+    def sign(delta):
+        return (delta > 0) - (delta < 0)
+
+    note = melody[t]
+    before = "BOS" if t == 0 else sign(note.midi - melody[t - 1].midi)
+    after = ("EOS" if t == len(melody) - 1
+             else sign(melody[t + 1].midi - note.midi))
+    return note, before, after
+
+
 def expected_rows(vectorizer, melody):
     """T x K indices of a per-position pass, unseen and padding at F."""
     F = len(vectorizer)
@@ -199,14 +210,14 @@ class TestCompiledFeatures:
     def test_matches_reference_vectorizer_and_indices(self, melodies, exclude):
         exclude = frozenset(exclude)
         reference = oracles.reference_vectorizer(melodies, exclude)
-        learned = FeatureVectorizer()
-        learned_rows = _compile(melodies, learned, learn=True, exclude=exclude)
+        learned, learned_rows = _compile(melodies, exclude=exclude)
         assert learned.feature_names == reference.feature_names
         assert (FeatureVectorizer.build(melodies, exclude).feature_names
                 == reference.feature_names)
-        # a frozen vectorizer that misses names
-        known = FeatureVectorizer.from_names(reference.feature_names[::2])
-        rows = _compile(melodies, known)
+        # a given vectorizer that misses names
+        known = FeatureVectorizer(reference.feature_names[::2])
+        given_back, rows = _compile(melodies, known)
+        assert given_back is known
         model = TaggerModel(oracles.random_tagset(2), known,
                             np.zeros((len(known), 2)), np.zeros((2, 2)),
                             TrainingMeta(0, 0.0, 0))
@@ -217,6 +228,37 @@ class TestCompiledFeatures:
             assert got.dtype == np.int32
             assert ([row[row < len(known)].tolist() for row in got]
                     == oracles.reference_indices(model, melody))
+
+    def test_fresh_notes_compile_once_per_distinct_context(self, monkeypatch):
+        """Synthetic melodies build a new Note per position.  Notes are
+        numbered by value, so the note table holds each distinct note
+        once and features are extracted once per distinct context."""
+        corpus = generate_synthetic(
+            SynthProfile(melody_length_range=(8, 16)), 200, seed=2)
+        melodies = [melody for melody, _ in corpus]
+        distinct = {note for melody in melodies for note in melody}
+        contexts = {feature_context(melody, t)
+                    for melody in melodies for t in range(len(melody))}
+        assert len(distinct) < len(contexts) < corpus.token_count
+        numbers = {}
+        for melody in melodies:
+            ids = note_numbers(melody, numbers)
+            assert [list(numbers)[i] for i in ids] == list(melody)
+        assert len(numbers) == len(distinct)
+        calls = []
+
+        def counting(melody, t):
+            calls.append(feature_context(melody, t))
+            return extract_features(melody, t)
+
+        monkeypatch.setattr(tagger, "extract_features", counting)
+        vectorizer, rows = _compile(melodies)
+        assert len(calls) == len(set(calls)) == len(contexts)
+        monkeypatch.undo()
+        reference = oracles.reference_vectorizer(melodies)
+        assert vectorizer.feature_names == reference.feature_names
+        for melody, got in list(zip(melodies, rows))[::37]:
+            np.testing.assert_array_equal(got, expected_rows(reference, melody))
 
 
 class TestPosteriorMarginals:
@@ -732,6 +774,57 @@ class TestModelIO:
             parse_model(text)
 
 
+def with_checksum(body: str) -> str:
+    """``body`` with the checksum line that makes it pass that check."""
+    return f"{body}checksum {zlib.crc32(body.encode('utf-8')):08x}\n"
+
+
+# lines and words of the model grammar, for bodies near a valid one
+_MODEL_LINES = ("tags 2", "tags 0", "tags -1", "tags 99999", "features 0",
+                "features 3", "emissions 3 2", "emissions 0 2",
+                "transitions 2 2", "meta epochs 1 loss 0.5 seed 0",
+                "meta epochs -1 loss nan seed x", "none", "none", "a b",
+                "0.5 0.5", "nan 1", "inf -inf", "1e999 0", "1", "", MAGIC,
+                "checksum 00000000")
+
+
+class TestModelParserFuzz:
+    """parse_model raises only InputError, whatever the text."""
+
+    @given(st.text())
+    def test_arbitrary_text(self, text):
+        for candidate in (text, f"{MAGIC}\n{text}", with_checksum(
+                f"{MAGIC}\n{text}\n")):
+            try:
+                parse_model(candidate)
+            except InputError:
+                pass
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(("replace", "insert", "delete")), st.integers(0, 40),
+        st.sampled_from(_MODEL_LINES)
+        | st.text(alphabet="tagsfeure 0123456789.-+einf", max_size=12)),
+        min_size=1, max_size=4))
+    def test_near_model_bodies_with_valid_checksum(self, edits):
+        rng = np.random.default_rng(5)
+        melody = oracles.random_melody(rng, 3)
+        model = oracles.random_model(rng, melody, h=2)
+        lines = serialize_model(model).split("\n")[:-2]
+        for op, at, line in edits:
+            at = min(at, len(lines))
+            if op == "insert":
+                lines.insert(at, line)
+            elif at < len(lines):
+                if op == "replace":
+                    lines[at] = line
+                else:
+                    del lines[at]
+        try:
+            parse_model(with_checksum("".join(f"{l}\n" for l in lines)))
+        except InputError:
+            pass
+
+
 def with_repeated_feature(text: str) -> str:
     """A model text whose first feature and emission row appear twice,
     with the block counts and checksum made to match."""
@@ -743,5 +836,4 @@ def with_repeated_feature(text: str) -> str:
         fields[1] = str(int(fields[1]) + 1)
         lines[i] = " ".join(fields)
         lines.insert(i + 1, lines[i + 1])
-    body = "\n".join(lines) + "\n"
-    return f"{body}checksum {zlib.crc32(body.encode('utf-8')):08x}\n"
+    return with_checksum("\n".join(lines) + "\n")
