@@ -22,11 +22,13 @@ from .model_io import MAGIC, load_model, save_model
 from .rules import RuleSet, parse_rules
 from .score import (
     TagSet,
+    TaggedCorpus,
+    decode_text,
+    iter_data_lines,
     parse_corpus,
     parse_melody,
     parse_tagset,
     serialize_corpus,
-    serialize_note,
     serialize_tagset,
 )
 from .synth import SynthProfile, generate_synthetic, parse_profile
@@ -45,7 +47,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """A UTF-8 file with newlines translated as ``open`` does."""
+    text = decode_text(Path(path).read_bytes())
+    # a "\r\n" search costs several times the decode, so look for "\r" first
+    if "\r" not in text:
+        return text
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write(path: str, text: str) -> None:
@@ -76,34 +83,34 @@ _COUNT = _domain(int, lambda v: v >= 0, "nonnegative integer")
 # the rule file's rule for WEIGHT, H1 and H2 holds for step_size too
 _POSITIVE = _domain(float, lambda v: 0 < v < math.inf, "finite positive number")
 
-_CONFIG_KEYS = {
-    "epochs": _COUNT,
-    "step_size": _POSITIVE,
-    "l2": _domain(float, lambda v: 0 <= v < math.inf,
-                  "finite nonnegative number"),
-    "batch": _domain(int, lambda v: v >= 1, "positive integer"),
-    "seed": _COUNT,
-    "h1": _POSITIVE,
-    "h2": _POSITIVE,
+# Each setting once: config key -> (flag, converter).  The flag stores its
+# value under the config key, so both sources merge by name.
+_SETTINGS = {
+    "epochs": ("--epochs", _COUNT),
+    "step_size": ("--step", _POSITIVE),
+    "l2": ("--l2", _domain(float, lambda v: 0 <= v < math.inf,
+                           "finite nonnegative number")),
+    "batch": ("--batch", _domain(int, lambda v: v >= 1, "positive integer")),
+    "seed": ("--seed", _COUNT),
+    "h1": ("--h1", _POSITIVE),
+    "h2": ("--h2", _POSITIVE),
 }
 
 
 def parse_config(text: str) -> dict:
-    """key=value lines with '#' comments; unknown keys are rejected."""
+    """key=value lines, commented as every input file; unknown keys fail."""
     values = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        data = raw.split("#", 1)[0].strip()
-        if not data:
+    for lineno, data, blank in iter_data_lines(text):
+        if blank:
             continue
         key, sep, value = data.partition("=")
         key = key.strip()
         value = value.strip()
         if not sep or not key or not value:
-            raise InputError(
-                f"expected 'key=value', got {raw.strip()!r}", line=lineno)
-        if key not in _CONFIG_KEYS:
+            raise InputError(f"expected 'key=value', got {data!r}", line=lineno)
+        if key not in _SETTINGS:
             raise InputError(f"unknown config key {key!r}", line=lineno)
-        convert = _CONFIG_KEYS[key]
+        _, convert = _SETTINGS[key]
         try:
             values[key] = convert(value)
         except ValueError:
@@ -113,46 +120,33 @@ def parse_config(text: str) -> dict:
     return values
 
 
-def _setting(name: str, flag_value, config: dict, default):
-    """Precedence: explicit flag, then config file, then default."""
-    if flag_value is not None:
-        return flag_value
-    if name in config:
-        return config[name]
-    return default
-
-
-def _load_config(args) -> dict:
-    if getattr(args, "config", None):
-        return parse_config(_read(args.config))
-    return {}
+def _settings(args, *keys) -> dict:
+    """Each named setting that is set: from its flag, else from --config."""
+    values = parse_config(_read(args.config)) if args.config else {}
+    values.update((key, getattr(args, key)) for key in keys
+                  if getattr(args, key) is not None)
+    return {key: values[key] for key in keys if key in values}
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args)
+    settings = _settings(args, "epochs", "step_size", "l2", "batch", "seed")
+    if "batch" in settings:
+        settings["batch_size"] = settings.pop("batch")
     tagset = parse_tagset(_read(args.tagset))
     corpus = parse_corpus(_read(args.corpus), tagset)
-    defaults = TrainConfig()
-    train_config = TrainConfig(
-        epochs=_setting("epochs", args.epochs, config, defaults.epochs),
-        step_size=_setting("step_size", args.step, config, defaults.step_size),
-        l2=_setting("l2", args.l2, config, defaults.l2),
-        batch_size=_setting("batch", args.batch, config, defaults.batch_size),
-        seed=_setting("seed", args.seed, config, defaults.seed),
-    )
 
     def progress(epoch: int, loss: float) -> None:
         print(f"epoch {epoch} loss {loss!r}", file=sys.stderr)
 
-    model = train(corpus, train_config, progress=progress)
+    model = train(corpus, TrainConfig(**settings), progress=progress)
     save_model(model, args.out)
     return 0
 
 
-def _ruleset_for(args, tagset: TagSet, config: dict) -> RuleSet:
+def _ruleset_for(args, tagset: TagSet, settings: dict) -> RuleSet:
     """Ruleset from --rules (empty when absent) with h1/h2 overrides.
 
     Confidence precedence: flag, then config file, then the ruleset
@@ -162,20 +156,17 @@ def _ruleset_for(args, tagset: TagSet, config: dict) -> RuleSet:
         ruleset = parse_rules(_read(args.rules), tagset)
     else:
         ruleset = RuleSet(tagset, ())
-    h1 = _setting("h1", args.h1, config, ruleset.h1)
-    h2 = _setting("h2", args.h2, config, ruleset.h2)
-    if h1 != ruleset.h1 or h2 != ruleset.h2:
-        ruleset = replace(ruleset, h1=h1, h2=h2)
-    return ruleset
+    return replace(ruleset, **settings)
 
 
 def cmd_tag(args) -> int:
-    config = _load_config(args)
+    settings = _settings(args, "h1", "h2")
     model = load_model(args.model)
-    ruleset = _ruleset_for(args, model.tagset, config)
+    ruleset = _ruleset_for(args, model.tagset, settings)
     melody = parse_melody(_read(args.melody))
     result = tag_with_knowledge(model, ruleset, melody)
-    _write(args.out, _tagged_text(melody, result.final, model.tagset))
+    tagged = TaggedCorpus(model.tagset, ((melody, result.final),))
+    _write(args.out, serialize_corpus(tagged))
     if args.explain:
         lines = "".join(
             f"line:{f.rule_line} pos:{f.anchor} tag:{f.tag} x{f.weight!r}\n"
@@ -184,17 +175,11 @@ def cmd_tag(args) -> int:
     return 0
 
 
-def _tagged_text(melody, states, tagset) -> str:
-    return "".join(
-        f"{serialize_note(note)}\t{tagset.name(state)}\n"
-        for note, state in zip(melody, states))
-
-
 def cmd_eval(args) -> int:
-    config = _load_config(args)
+    settings = _settings(args, "h1", "h2")
     model = load_model(args.model)
     corpus = parse_corpus(_read(args.corpus), model.tagset)
-    ruleset = _ruleset_for(args, model.tagset, config)
+    ruleset = _ruleset_for(args, model.tagset, settings)
     predictions = []
     matched = 0
     total = 0
@@ -240,6 +225,18 @@ def cmd_rules_check(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+def _add_settings(parser, *keys) -> None:
+    """``--config`` and the flag of each named setting."""
+    parser.add_argument("--config", help="key=value defaults file")
+    for key in keys:
+        _add_flag(parser, key)
+
+
+def _add_flag(parser, key: str, **kwargs) -> None:
+    flag, convert = _SETTINGS[key]
+    parser.add_argument(flag, dest=key, type=convert, **kwargs)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="ornatag",
@@ -254,12 +251,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--corpus", required=True)
     p_train.add_argument("--tagset", required=True)
     p_train.add_argument("--out", required=True)
-    p_train.add_argument("--config", help="key=value defaults file")
-    p_train.add_argument("--epochs", type=_CONFIG_KEYS["epochs"])
-    p_train.add_argument("--step", type=_CONFIG_KEYS["step_size"])
-    p_train.add_argument("--l2", type=_CONFIG_KEYS["l2"])
-    p_train.add_argument("--batch", type=_CONFIG_KEYS["batch"])
-    p_train.add_argument("--seed", type=_CONFIG_KEYS["seed"])
+    _add_settings(p_train, "epochs", "step_size", "l2", "batch", "seed")
     p_train.set_defaults(func=cmd_train)
 
     p_tag = sub.add_parser("tag", help="tag one melody")
@@ -267,9 +259,7 @@ def build_parser() -> _Parser:
     p_tag.add_argument("--melody", required=True)
     p_tag.add_argument("--out", required=True)
     p_tag.add_argument("--rules")
-    p_tag.add_argument("--config", help="key=value defaults file")
-    p_tag.add_argument("--h1", type=_CONFIG_KEYS["h1"])
-    p_tag.add_argument("--h2", type=_CONFIG_KEYS["h2"])
+    _add_settings(p_tag, "h1", "h2")
     p_tag.add_argument("--explain", action="store_true",
                        help="write a .explain sidecar of rule firings")
     p_tag.set_defaults(func=cmd_tag)
@@ -278,9 +268,7 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--corpus", required=True)
     p_eval.add_argument("--rules")
-    p_eval.add_argument("--config", help="key=value defaults file")
-    p_eval.add_argument("--h1", type=_CONFIG_KEYS["h1"])
-    p_eval.add_argument("--h2", type=_CONFIG_KEYS["h2"])
+    _add_settings(p_eval, "h1", "h2")
     p_eval.set_defaults(func=cmd_eval)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
@@ -288,8 +276,8 @@ def build_parser() -> _Parser:
     group.add_argument("--profile", help="JSON generation profile")
     group.add_argument("--default", action="store_true",
                        help="use the built-in profile")
-    p_synth.add_argument("--melodies", type=int, required=True)
-    p_synth.add_argument("--seed", type=_CONFIG_KEYS["seed"], required=True)
+    p_synth.add_argument("--melodies", type=_COUNT, required=True)
+    _add_flag(p_synth, "seed", required=True)
     p_synth.add_argument("--out", required=True)
     p_synth.add_argument("--tagset-out", dest="tagset_out",
                          help="also write the profile's tag set file")
@@ -314,10 +302,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (InputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OrnatagError as err:

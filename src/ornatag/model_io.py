@@ -28,7 +28,7 @@ import zlib
 import numpy as np
 
 from .errors import CorruptModel, VersionMismatch
-from .score import TagSet
+from .score import TagSet, decode_text
 from .tagger import FeatureVectorizer, TaggerModel, TrainingMeta
 
 MAGIC = "ORNATAG-MODEL v1"
@@ -165,5 +165,5 @@ def save_model(model: TaggerModel, path: str | os.PathLike) -> None:
 
 def load_model(path: str | os.PathLike) -> TaggerModel:
     """Read a model from ``path``."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        return parse_model(handle.read())
+    with open(path, "rb") as handle:
+        return parse_model(decode_text(handle.read(), CorruptModel))

@@ -337,6 +337,16 @@ def serialize_note(note: Note) -> str:
 _COMMENT_RE = re.compile(r"(?:^|(?<=\s))#")
 
 
+def decode_text(data: bytes, error: type[InputError] = InputError) -> str:
+    """``data`` as UTF-8; a byte that is not raises ``error`` at its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = len(re.findall(rb"\r\n?|\n", data[:err.start])) + 1
+        raise error(f"not valid UTF-8 at byte {data[err.start]:#04x}",
+                    line=line) from None
+
+
 def iter_data_lines(text: str) -> Iterator[tuple[int, str, bool]]:
     """Yield (1-based line number, data text, is_blank) per line.
 

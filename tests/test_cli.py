@@ -7,21 +7,24 @@ whole pipeline runs exactly as a shell user would see it.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ornatag import combine, tagger
 from ornatag.cli import main, parse_config
-from ornatag.errors import InputError
+from ornatag.errors import CorruptModel, InputError
 from ornatag.model_io import load_model, save_model
 from ornatag.score import (
     StateSequence,
     TaggedCorpus,
+    decode_text,
     parse_corpus,
     parse_melody,
     parse_tagset,
@@ -112,6 +115,13 @@ class TestConfigFile:
         """Comment and blank lines are ignored."""
         values = parse_config("# defaults\n\nepochs = 2  # fast\n")
         assert values == {"epochs": 2}
+
+    def test_glued_comment_is_part_of_the_value(self):
+        """'#' starts a comment only at a line start or after whitespace,
+        as in every other input file."""
+        with pytest.raises(InputError, match="'1#x'") as excinfo:
+            parse_config("seed=2 # fine\nepochs=1#x\n")
+        assert excinfo.value.line == 2
 
     def test_unknown_key(self):
         """Unknown keys are rejected with the offending line."""
@@ -235,6 +245,15 @@ class TestNumericSettings:
         ], capsys)
         assert code == 1
         assert "argument --seed: invalid nonnegative integer value" in err
+        assert not (tmp_path / "c.txt").exists()
+
+    def test_negative_synth_melodies_exits_1(self, tmp_path, capsys):
+        code, _, err = run_cli([
+            "synth", "--default", "--melodies", "-1", "--seed", "1",
+            "--out", str(tmp_path / "c.txt"),
+        ], capsys)
+        assert code == 1
+        assert "argument --melodies: invalid nonnegative integer value" in err
         assert not (tmp_path / "c.txt").exists()
 
     @pytest.mark.parametrize("command", ["tag", "eval"])
@@ -493,6 +512,122 @@ class TestTag:
         ], capsys)
         assert code == 2
         assert "octave" in err and "line 1" in err
+
+
+@pytest.fixture(scope="module")
+def inputs(workdir):
+    """One small valid file of each kind, beside ``workdir``'s model."""
+    files = {"model": workdir / "model.txt", "tagset": workdir / "tags.txt"}
+    for kind, text in {
+        "melody": "C5:1 D5:1/2 E5:4 F5:1/2 G5:2\n",
+        "corpus": "C5:1\tnone\nD5:1/2\ttrills\n\nE5:4\tfermata\n",
+        "rules": "IF duration(@t) > 3 THEN tag(@t) = trills\n",
+        "config": "h1=3\nh2=0.5\n",
+        "profile": '{"tags": ["none", "trills"],\n'
+                   ' "melody_length_range": [2, 4]}\n',
+    }.items():
+        files[kind] = workdir / f"valid.{kind}"
+        files[kind].write_text(text)
+    return files
+
+
+def argv_reading(kind, files, out):
+    """A command that reads ``files[kind]`` and every other file it
+    takes from ``files``."""
+    f = {name: str(path) for name, path in files.items()}
+    if kind == "profile":
+        return ["synth", "--profile", f["profile"], "--melodies", "2",
+                "--seed", "0", "--out", out]
+    if kind == "tagset":
+        return ["train", "--corpus", f["corpus"], "--tagset", f["tagset"],
+                "--config", f["config"], "--epochs", "1", "--out", out]
+    if kind == "corpus":
+        return ["eval", "--model", f["model"], "--corpus", f["corpus"],
+                "--rules", f["rules"], "--config", f["config"]]
+    return ["tag", "--model", f["model"], "--melody", f["melody"],
+            "--rules", f["rules"], "--config", f["config"], "--explain",
+            "--out", out]
+
+
+class TestUndecodableInput:
+    """A byte that is not UTF-8 is bad input (exit 2) at its line."""
+
+    @pytest.mark.parametrize("kind", ["melody", "corpus", "tagset", "rules",
+                                      "config", "profile", "model"])
+    def test_bad_byte_exits_2_with_line(self, inputs, tmp_path, capsys,
+                                        kind):
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_bytes(inputs[kind].read_bytes().replace(
+            b"\n", b"\r\n", 1).replace(b"\n", b"\n\xff", 1))
+        files = dict(inputs, **{kind: bad})
+        code, out, err = run_cli(
+            argv_reading(kind, files, str(tmp_path / "out")), capsys)
+        assert code == 2
+        assert out == ""
+        assert "not valid UTF-8 at byte 0xff (line 2)" in err
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_line_counts_every_newline(self, newline):
+        with pytest.raises(InputError, match="byte 0xe2") as excinfo:
+            decode_text(newline.join([b"a", b"b", b"\xe2\x82"]))
+        assert excinfo.value.line == 3
+
+    def test_load_model_raises_corrupt_model(self, inputs, tmp_path):
+        bad = tmp_path / "bad.model"
+        head = inputs["model"].read_bytes().split(b"\n")[:3]
+        bad.write_bytes(b"\n".join(head) + b"\n\xc3(\n")
+        with pytest.raises(CorruptModel, match="byte 0xc3") as excinfo:
+            load_model(bad)
+        assert excinfo.value.line == 4
+
+    def test_crlf_reads_as_lf(self, inputs, tmp_path, capsys):
+        """Input files keep universal newlines: CRLF and CR parse as LF."""
+        outputs = []
+        for i, newline in enumerate((b"\n", b"\r\n", b"\r")):
+            files = dict(inputs)
+            for kind in ("melody", "rules", "config"):
+                files[kind] = tmp_path / f"{i}.{kind}"
+                files[kind].write_bytes(inputs[kind].read_bytes().replace(
+                    b"\n", newline))
+            out = tmp_path / f"{i}.out"
+            assert main(argv_reading("melody", files, str(out))) == 0
+            outputs.append((out.read_bytes(),
+                            Path(f"{out}.explain").read_bytes()))
+        capsys.readouterr()
+        assert outputs[0][1]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def spliced(valid: bytes):
+    """``valid`` with a short run of bytes replaced by up to 3 others."""
+    return st.tuples(st.integers(0, len(valid)), st.integers(0, 8),
+                     st.binary(max_size=3)).map(
+        lambda cut: valid[:cut[0]] + cut[2] + valid[cut[0] + cut[1]:])
+
+
+class TestMainFuzz:
+    """``main`` never returns 3 when one input file holds arbitrary bytes
+    and every other file is valid.
+
+    Rule files are left out on purpose: two ``WEIGHT 1e-200`` firings on
+    one cell still underflow p1 to 0, which exits 3.  That is the open
+    fusion defect in ROADMAP.md, not a parser fault.
+    """
+
+    @pytest.mark.parametrize("kind", ["melody", "corpus", "tagset", "config",
+                                      "profile", "model"])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_exit_code_is_never_3(self, inputs, kind, data):
+        valid = inputs[kind].read_bytes()
+        fuzz = inputs["model"].parent / f"fuzz.{kind}"
+        fuzz.write_bytes(data.draw(st.binary(max_size=300) | spliced(valid)))
+        out = str(inputs["model"].parent / "fuzz.out")
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            code = main(argv_reading(kind, dict(inputs, **{kind: fuzz}), out))
+        assert code in (0, 2), stderr.getvalue()
 
 
 def perfect_model(tmp_path):

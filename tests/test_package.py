@@ -54,3 +54,10 @@ def test_cli_import_loads_no_test_dependency():
          "print(sorted(m for m in ('scipy', 'hypothesis') if m in sys.modules))"],
         env=env, capture_output=True, text=True, check=True, timeout=60)
     assert loaded.stdout.strip() == "[]"
+
+
+def test_readme_config_keys_are_the_settings_table():
+    from ornatag.cli import _SETTINGS
+    readme = README.read_text(encoding="utf-8")
+    keys = re.search(r"`--config FILE`.*?\(keys: (.*?)\)", readme, re.S)
+    assert re.findall(r"`(\w+)`", keys.group(1)) == list(_SETTINGS)
