@@ -4,11 +4,14 @@ Exit codes are stable across subcommands: 0 success, 1 usage error,
 2 bad input (parse/validation failures, with file/line locations when
 available), 3 internal runtime failure.  Progress and warnings go to
 standard error; standard output carries only machine-readable results.
+An input error names its file.  ``main(argv)`` may be called any number
+of times in one process; it builds its parser once, on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -46,13 +49,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _read(path: str) -> str:
-    """A UTF-8 file with newlines translated as ``open`` does."""
-    text = decode_text(Path(path).read_bytes())
-    # a "\r\n" search costs several times the decode, so look for "\r" first
-    if "\r" not in text:
-        return text
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+def _parse(parse, path: str, *args):
+    """``parse`` of a UTF-8 file, its newlines translated as ``open`` does;
+    an input error in it names ``path``."""
+    try:
+        text = decode_text(Path(path).read_bytes())
+        if "\r" in text:  # a "\r\n" search costs several times the decode
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return parse(text, *args)
+    except InputError as err:
+        err.path = path
+        raise
 
 
 def _write(path: str, text: str) -> None:
@@ -122,7 +129,7 @@ def parse_config(text: str) -> dict:
 
 def _settings(args, *keys) -> dict:
     """Each named setting that is set: from its flag, else from --config."""
-    values = parse_config(_read(args.config)) if args.config else {}
+    values = _parse(parse_config, args.config) if args.config else {}
     values.update((key, getattr(args, key)) for key in keys
                   if getattr(args, key) is not None)
     return {key: values[key] for key in keys if key in values}
@@ -135,8 +142,8 @@ def cmd_train(args) -> int:
     settings = _settings(args, "epochs", "step_size", "l2", "batch", "seed")
     if "batch" in settings:
         settings["batch_size"] = settings.pop("batch")
-    tagset = parse_tagset(_read(args.tagset))
-    corpus = parse_corpus(_read(args.corpus), tagset)
+    tagset = _parse(parse_tagset, args.tagset)
+    corpus = _parse(parse_corpus, args.corpus, tagset)
 
     def progress(epoch: int, loss: float) -> None:
         print(f"epoch {epoch} loss {loss!r}", file=sys.stderr)
@@ -153,7 +160,7 @@ def _ruleset_for(args, tagset: TagSet, settings: dict) -> RuleSet:
     file's own H1/H2 directives, then the built-in 2.0.
     """
     if args.rules:
-        ruleset = parse_rules(_read(args.rules), tagset)
+        ruleset = _parse(parse_rules, args.rules, tagset)
     else:
         ruleset = RuleSet(tagset, ())
     return replace(ruleset, **settings)
@@ -163,7 +170,7 @@ def cmd_tag(args) -> int:
     settings = _settings(args, "h1", "h2")
     model = load_model(args.model)
     ruleset = _ruleset_for(args, model.tagset, settings)
-    melody = parse_melody(_read(args.melody))
+    melody = _parse(parse_melody, args.melody)
     result = tag_with_knowledge(model, ruleset, melody)
     tagged = TaggedCorpus(model.tagset, ((melody, result.final),))
     _write(args.out, serialize_corpus(tagged))
@@ -178,7 +185,7 @@ def cmd_tag(args) -> int:
 def cmd_eval(args) -> int:
     settings = _settings(args, "h1", "h2")
     model = load_model(args.model)
-    corpus = parse_corpus(_read(args.corpus), model.tagset)
+    corpus = _parse(parse_corpus, args.corpus, model.tagset)
     ruleset = _ruleset_for(args, model.tagset, settings)
     predictions = []
     matched = 0
@@ -199,7 +206,7 @@ def cmd_eval(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.profile:
-        profile = parse_profile(_read(args.profile))
+        profile = _parse(parse_profile, args.profile)
     else:
         profile = SynthProfile()
     corpus = generate_synthetic(profile, args.melodies, args.seed)
@@ -213,8 +220,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_rules_check(args) -> int:
-    tagset = parse_tagset(_read(args.tagset))
-    ruleset = parse_rules(_read(args.rules), tagset)
+    tagset = _parse(parse_tagset, args.tagset)
+    ruleset = _parse(parse_rules, args.rules, tagset)
     for rule in ruleset:
         weight = "default" if rule.weight is None else repr(rule.weight)
         print(f"line {rule.source_line}: Type{rule.rule_class} "
@@ -291,10 +298,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:  # built on main's first call, then reused
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as err:
         print(str(err), file=sys.stderr)
         return 1

@@ -16,8 +16,11 @@ class InputError(OrnatagError):
     """Bad input data (file contents, tokens, rule text, model files).
 
     ``line`` and ``column`` are 1-based when known; ``token`` carries the
-    offending token text when one exists.
+    offending token text when one exists; ``path`` names the file, and
+    comes first in the message.
     """
+
+    path: str | None = None
 
     def __init__(self, message: str, *, token: str | None = None,
                  line: int | None = None, column: int | None = None):
@@ -36,7 +39,8 @@ class InputError(OrnatagError):
         if self.token is not None:
             parts.append(f"token {self.token!r}")
         suffix = f" ({'; '.join(parts)})" if parts else ""
-        return super().__str__() + suffix
+        prefix = f"{self.path}: " if self.path is not None else ""
+        return prefix + super().__str__() + suffix
 
 
 # -- score-model parse errors ------------------------------------------------

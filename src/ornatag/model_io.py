@@ -27,7 +27,7 @@ import zlib
 
 import numpy as np
 
-from .errors import CorruptModel, VersionMismatch
+from .errors import CorruptModel, InputError, VersionMismatch
 from .score import TagSet, decode_text
 from .tagger import FeatureVectorizer, TaggerModel, TrainingMeta
 
@@ -84,6 +84,9 @@ def parse_model(text: str) -> TaggerModel:
     """Reconstruct a model, verifying magic, checksum, and shapes."""
     newline = text.find("\n")
     first = text[:newline] if newline >= 0 else text
+    if first == MAGIC + "\r":
+        raise CorruptModel("model file has CRLF line ends; the checksum "
+                           "covers its exact bytes, so convert them to LF")
     if first != MAGIC:
         if first.startswith("ORNATAG-MODEL"):
             raise VersionMismatch(
@@ -164,6 +167,10 @@ def save_model(model: TaggerModel, path: str | os.PathLike) -> None:
 
 
 def load_model(path: str | os.PathLike) -> TaggerModel:
-    """Read a model from ``path``."""
+    """Read a model from ``path``; an input error in it names ``path``."""
     with open(path, "rb") as handle:
-        return parse_model(decode_text(handle.read(), CorruptModel))
+        try:
+            return parse_model(decode_text(handle.read(), CorruptModel))
+        except InputError as err:
+            err.path = os.fspath(path)
+            raise

@@ -35,6 +35,9 @@ replaced (melody, then position, each marginal before the gold
 count).  numpy reduces every batch row as it reduced the single
 melody, so models, marginals and paths are bit-identical to the
 per-melody loops'.
+
+Each alpha/beta step reduces one reused B x H x H buffer in place with
+:func:`_lse_core`, under one ``errstate`` for the whole recursion.
 """
 
 from __future__ import annotations
@@ -267,29 +270,36 @@ def emission_matrix(model: TaggerModel, melody: Melody) -> np.ndarray:
                       _compile([melody], model.vectorizer)[1][0])
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along ``axis``, stable for finite input.
+def _lse_core(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis``, in place in ``a``; the caller
+    silences floating-point warnings.
 
     The maximal terms are taken out of the sum and added back through
     ``log1p``, the same sequence of operations as scipy 1.17's
     ``logsumexp`` for real input, so results match it bit for bit
-    without its per-call dispatch cost.  A non-finite result falls back
-    to the direct formula, as there.
+    without its per-call dispatch cost.  scipy's fallback to the direct
+    formula is left out: a finite max gives a finite result, and a max
+    of +-inf or NaN already gives the direct formula's.
     """
+    top = np.maximum.reduce(a, axis=axis, keepdims=True)
+    ties = a == top
+    count = np.add.reduce(ties, axis=axis, keepdims=True, dtype=float)
+    np.subtract(a, top, out=a)
+    np.copyto(a, -np.inf, where=ties)
+    total = np.add.reduce(np.exp(a, out=a), axis=axis, keepdims=True)
+    total /= count
+    return (np.log1p(total) + np.log(count) + top).squeeze(axis)
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """:func:`_lse_core` on a copy of ``a``: scipy 1.17's ``logsumexp``."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
-        is_max = a == a_max
-        m = np.add.reduce(is_max, axis=axis, keepdims=True, dtype=a.dtype)
-        s = np.add.reduce(np.exp(np.where(is_max, -np.inf, a) - a_max),
-                          axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            direct = np.log(np.add.reduce(np.exp(a), axis=axis,
-                                          keepdims=True))
-            out = np.where(finite, out, direct)
-    return np.squeeze(out, axis=axis)
+        return _lse_core(np.array(a, dtype=float), axis)
+
+
+def _inside(T: int, lengths: np.ndarray) -> np.ndarray:
+    """(T - 1) x B x 1 mask: row t is True for entries longer than t + 1."""
+    return (np.arange(T - 1)[:, None] < lengths - 1)[:, :, None]
 
 
 def _forward_backward(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray):
@@ -302,16 +312,19 @@ def _forward_backward(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray):
     meaningless.
     """
     B, T, H = E.shape
+    inside = _inside(T, lengths)
+    work = np.empty((B, H, H))  # each step's terms, overwritten by the core
     log_alpha = np.empty((B, T, H))
     log_alpha[:, 0] = E[:, 0]
-    for t in range(1, T):
-        log_alpha[:, t] = E[:, t] + _logsumexp(
-            log_alpha[:, t - 1, :, None] + Tr, axis=1)
     log_beta = np.zeros((B, T, H))
-    inside = (np.arange(T - 1)[:, None] < lengths - 1)[:, :, None]
-    for t in range(T - 2, -1, -1):
-        log_beta[:, t] = np.where(inside[t], _logsumexp(
-            Tr + (E[:, t + 1] + log_beta[:, t + 1])[:, None, :], axis=2), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for t in range(1, T):
+            np.add(log_alpha[:, t - 1, :, None], Tr, out=work)
+            np.add(E[:, t], _lse_core(work, 1), out=log_alpha[:, t])
+        for t in range(T - 2, -1, -1):
+            np.add(Tr, np.add(E[:, t + 1], log_beta[:, t + 1])[:, None, :],
+                   out=work)
+            np.copyto(log_beta[:, t], _lse_core(work, 2), where=inside[t])
     log_z = _logsumexp(log_alpha[np.arange(B), lengths - 1], axis=1)
     return log_alpha, log_beta, log_z
 
@@ -326,16 +339,20 @@ def _viterbi(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     backpointers does not guarantee.  Each entry's suffix starts at its
     last position; path values past an entry's length are meaningless.
     """
-    B, T, _ = E.shape
+    B, T, H = E.shape
     suffix = E.copy()
-    last = (lengths - 1)[:, None]
+    inside = _inside(T, lengths)
+    work = np.empty((B, H, H))
+    best = np.empty((B, H))
     for t in range(T - 2, -1, -1):
-        best = E[:, t] + np.max(Tr + suffix[:, t + 1, None, :], axis=2)
-        suffix[:, t] = np.where(t < last, best, suffix[:, t])
+        np.add(Tr, suffix[:, t + 1, None, :], out=work)
+        np.add(E[:, t], np.maximum.reduce(work, axis=2, out=best), out=best)
+        np.copyto(suffix[:, t], best, where=inside[t])
     path = np.empty((B, T), dtype=int)
-    path[:, 0] = np.argmax(suffix[:, 0], axis=1)
+    path[:, 0] = suffix[:, 0].argmax(axis=1)
     for t in range(1, T):
-        path[:, t] = np.argmax(Tr[path[:, t - 1]] + suffix[:, t], axis=1)
+        path[:, t] = np.add(Tr[path[:, t - 1]], suffix[:, t],
+                            out=best).argmax(axis=1)
     return path
 
 

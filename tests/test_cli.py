@@ -11,13 +11,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ornatag import combine, tagger
+from ornatag import cli, combine, tagger
 from ornatag.cli import main, parse_config
 from ornatag.errors import CorruptModel, InputError
 from ornatag.model_io import load_model, save_model
@@ -596,6 +599,99 @@ class TestUndecodableInput:
         capsys.readouterr()
         assert outputs[0][1]
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+class TestErrorsNameTheirFile:
+    """An input error names the file it was found in, before its message;
+    stdout stays empty and the exit code stays 2."""
+
+    @pytest.mark.parametrize("kind, text, message", [
+        ("melody", "C5:1\nE5:0\n",
+         "zero duration: 'E5:0' (line 2, column 4; token 'E5:0')"),
+        ("corpus", "C5:1\tnone\nD5:1\tflutter\n",
+         "unknown tag 'flutter' (line 2; token 'flutter')"),
+        ("config", "h1=3\nepochs=-1\n",
+         "bad value for 'epochs': '-1' (expected a nonnegative integer) "
+         "(line 2)"),
+        ("profile", '{"tags": ["none"]}\n',
+         "bad tags: a tag set needs at least 2 tags"),
+        ("rules", "IF duration(@t) > 3 THEN tag(@t) = flutter\n",
+         "unknown tag 'flutter' (line 1, column 36; token 'flutter')"),
+    ])
+    def test_each_subcommand(self, inputs, tmp_path, capsys, kind, text,
+                             message):
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_text(text)
+        files = dict(inputs, **{kind: bad})
+        f = {name: str(path) for name, path in files.items()}
+        out = str(tmp_path / "out")
+        argv = {
+            "melody": ["tag", "--model", f["model"], "--melody", f["melody"],
+                       "--out", out],
+            "corpus": ["eval", "--model", f["model"], "--corpus", f["corpus"]],
+            "config": ["train", "--corpus", f["corpus"], "--tagset",
+                       f["tagset"], "--config", f["config"], "--out", out],
+            "profile": ["synth", "--profile", f["profile"], "--melodies", "1",
+                        "--seed", "0", "--out", out],
+            "rules": ["rules-check", f["rules"], "--tagset", f["tagset"]],
+        }[kind]
+        code, stdout, err = run_cli(argv, capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {bad}: {message}\n"
+
+    def test_model_with_crlf_line_ends(self, inputs, tmp_path, capsys):
+        bad = tmp_path / "crlf.model"
+        bad.write_bytes(inputs["model"].read_bytes().replace(b"\n", b"\r\n"))
+        code, stdout, err = run_cli(
+            ["tag", "--model", str(bad), "--melody", str(inputs["melody"]),
+             "--out", str(tmp_path / "out")], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {bad}: model file has CRLF line ends")
+        with pytest.raises(CorruptModel) as excinfo:
+            load_model(bad)
+        assert excinfo.value.path == str(bad)
+
+
+class TestParserReuse:
+    """``main`` builds its parser on its first call and reuses it, and no
+    flag or default of one call leaks into the next."""
+
+    def test_calls_in_one_process_match_fresh_processes(
+            self, inputs, tmp_path, capsys):
+        f = {name: str(path) for name, path in inputs.items()}
+        calls = [
+            ["tag", "--model", f["model"], "--melody", f["melody"],
+             "--rules", f["rules"], "--h1", "5", "--explain"],
+            ["tag", "--model", f["model"], "--melody", f["melody"]],
+            ["eval", "--model", f["model"], "--corpus", f["corpus"]],
+            ["synth", "--default", "--melodies", "3", "--seed", "2"],
+        ]
+        cli._parser.cache_clear()
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        same, fresh = tmp_path / "same", tmp_path / "fresh"
+        same.mkdir()
+        fresh.mkdir()
+        for i, argv in enumerate(calls):
+            writes = argv[0] != "eval"
+            code, stdout, _ = run_cli(
+                argv + ["--out", str(same / f"{i}")] * writes, capsys)
+            alone = subprocess.run(
+                [sys.executable, "-m", "ornatag.cli", *argv,
+                 *["--out", str(fresh / f"{i}")] * writes],
+                env=env, capture_output=True, text=True, check=False)
+            assert code == alone.returncode == 0
+            assert stdout == alone.stdout
+        names = sorted(os.listdir(fresh))
+        assert sorted(os.listdir(same)) == names == ["0", "0.explain", "1",
+                                                     "3"]
+        for name in names:
+            assert (same / name).read_bytes() == (fresh / name).read_bytes()
+        assert run_cli(["tag", "--model", f["model"]], capsys)[0] == 1
+        assert run_cli(["--version"], capsys)[0] == 0
+        code, _, err = run_cli(["synth", "--melodies", "1", "--seed", "0",
+                                "--out", str(tmp_path / "x")], capsys)
+        assert code == 1 and "--profile" in err
+        assert cli._parser.cache_info().misses == 1
 
 
 def spliced(valid: bytes):

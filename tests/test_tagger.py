@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import melody_from_tokens
@@ -463,6 +463,61 @@ class TestBatchedInference:
         assert len(calls) == 14
 
 
+class TestBatchedRecursions:
+    """Forward-backward and Viterbi over a batch, finite or not, each
+    entry against its own single-melody references."""
+
+    @staticmethod
+    def assert_matches_references(model, melodies):
+        _, features = _compile(melodies, model.vectorizer)
+        lengths = np.array([len(melody) for melody in melodies])
+        Tr = model.transition_weights
+        with np.errstate(all="ignore"):
+            E = tagger._emissions(model.emission_weights,
+                                  tagger._pad(features, model.num_features))
+            log_alpha, log_beta, log_z = tagger._forward_backward(
+                E, Tr, lengths)
+            paths = tagger._viterbi(E, Tr, lengths)
+            for b, (melody, T) in enumerate(zip(melodies, lengths)):
+                E_b = oracles.reference_emissions(
+                    model, oracles.reference_indices(model, melody))
+                assert np.array_equal(E[b, :T], E_b, equal_nan=True)
+                want = oracles.reference_forward_backward(E_b, Tr)
+                got = (log_alpha[b, :T], log_beta[b, :T], log_z[b])
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w, equal_nan=True)
+                assert (tuple(paths[b, :T].tolist())
+                        == oracles.reference_viterbi(model, melody))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_overflowing_emissions_match_references(self, seed):
+        """Weights near 1e308: emission sums overflow to +-inf (and NaN
+        where they meet), where scipy falls back to the direct formula."""
+        rng = np.random.default_rng(seed)
+        melodies = [oracles.random_melody(rng, n) for n in (12, 1, 5, 25)]
+        model = oracles.random_model(rng, melodies[0], h=3)
+        model = replace(
+            model,
+            emission_weights=rng.uniform(-1.7, 1.7,
+                                         model.emission_weights.shape) * 1e308,
+            transition_weights=rng.uniform(-1.7, 1.7, (3, 3)) * 1e308)
+        with np.errstate(over="ignore"):
+            assert np.isinf(emission_matrix(model, melodies[0])).any()
+        self.assert_matches_references(model, melodies)
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1),
+           lengths=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+           h=st.integers(2, 6), scale=st.sampled_from([0.0, 1.0, 1e3, 1e300]))
+    def test_batches_match_single_melody_references(self, seed, lengths, h,
+                                                    scale):
+        rng = np.random.default_rng(seed)
+        melodies = [oracles.random_melody(rng, n) for n in lengths]
+        # built from the first melody: the others bring unseen features
+        model = oracles.random_model(rng, melodies[0], h, scale)
+        self.assert_matches_references(model, melodies)
+
+
 class TestNllAndGradient:
     """Loss value and analytic gradient of the training objective."""
 
@@ -710,6 +765,13 @@ class TestModelIO:
             posterior_marginals(model, melody).values)
         assert tuple(viterbi_decode(loaded, melody)) == tuple(
             viterbi_decode(model, melody))
+
+    def test_crlf_model_names_its_line_ends(self):
+        """CRLF line ends are reported as such, not as a version mismatch."""
+        model, _ = self.roundtrip_model()
+        text = serialize_model(model).replace("\n", "\r\n")
+        with pytest.raises(CorruptModel, match="CRLF line ends.*exact bytes"):
+            parse_model(text)
 
     def test_round_trip_preserves_meta(self):
         model, _ = self.roundtrip_model()
