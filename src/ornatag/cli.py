@@ -11,6 +11,7 @@ of times in one process; it builds its parser once, on the first call.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -49,17 +50,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+@contextlib.contextmanager
+def _naming(path: str):
+    """An input error raised inside the block names ``path``."""
+    try:
+        yield
+    except InputError as err:
+        err.path = path
+        raise
+
+
 def _parse(parse, path: str, *args):
     """``parse`` of a UTF-8 file, its newlines translated as ``open`` does;
     an input error in it names ``path``."""
-    try:
+    with _naming(path):
         text = decode_text(Path(path).read_bytes())
         if "\r" in text:  # a "\r\n" search costs several times the decode
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         return parse(text, *args)
-    except InputError as err:
-        err.path = path
-        raise
 
 
 def _write(path: str, text: str) -> None:
@@ -171,7 +179,8 @@ def cmd_tag(args) -> int:
     model = load_model(args.model)
     ruleset = _ruleset_for(args, model.tagset, settings)
     melody = _parse(parse_melody, args.melody)
-    result = tag_with_knowledge(model, ruleset, melody)
+    with _naming(args.model):  # weights too large for the melody
+        result = tag_with_knowledge(model, ruleset, melody)
     tagged = TaggedCorpus(model.tagset, ((melody, result.final),))
     _write(args.out, serialize_corpus(tagged))
     if args.explain:
@@ -191,11 +200,12 @@ def cmd_eval(args) -> int:
     matched = 0
     total = 0
     melodies = (melody for melody, _ in corpus)
-    for result in tag_corpus(model, ruleset, melodies):
-        predictions.append(result.final)
-        hits, firings = count_satisfied(result.final, result.firings)
-        matched += hits
-        total += firings
+    with _naming(args.model):  # weights too large for a melody
+        for result in tag_corpus(model, ruleset, melodies):
+            predictions.append(result.final)
+            hits, firings = count_satisfied(result.final, result.firings)
+            matched += hits
+            total += firings
     metrics = evaluate(predictions, corpus)
     if args.rules:
         metrics = replace(

@@ -1,8 +1,10 @@
 """Exception hierarchy shared by all ornatag modules.
 
-``InputError`` covers everything caused by bad user-supplied files or
-tokens (parse failures, unknown tags, corrupt models).  The CLI maps it
-to exit code 2; every other ``OrnatagError`` maps to exit code 3.
+``InputError`` covers everything caused by bad user-supplied files,
+tokens or settings (parse failures, unknown tags, corrupt models,
+weights too large for float range, a diverging step size).  The CLI
+maps it to exit code 2; every other ``OrnatagError`` maps to exit
+code 3.
 """
 
 from __future__ import annotations

@@ -14,9 +14,14 @@ only ``==`` and ``!=``.  A rule with a ``pred`` clause reads predictions
 and is Type 2, otherwise Type 1.
 
 A file may open with ``H1 <w>`` / ``H2 <w>`` directives giving the
-default confidences for Type 1 and Type 2 rules (2.0 each when
-absent); an explicit ``WEIGHT`` overrides the default.  ``#`` starts a
-comment at the beginning of a line or after whitespace.
+default confidences for Type 1 and Type 2 rules (:class:`RuleSet`'s
+defaults when absent); an explicit ``WEIGHT`` overrides the default.
+``#`` starts a comment at the beginning of a line or after whitespace.
+
+Numbers are ASCII: ``INT``, ``INT/INT`` or a decimal with an optional
+exponent, at most :func:`digit_limit` digits plus exponent.
+:meth:`_LineParser.number` reads each one to an exact ``Fraction``;
+a weight or confidence is its nearest float, finite and above zero.
 
 The weight matrix starts as all ones, H rows (tags) by T columns
 (positions).  Each rule, in source order, multiplies the cell of its
@@ -220,9 +225,7 @@ class _LineParser:
         label = expected or (f"'{text}'" if text else kind.lower())
         token = self.next(label)
         if token.kind != kind or (text is not None and token.text != text):
-            raise RuleSyntaxError(
-                f"unexpected token {token.text!r}",
-                line=self.lineno, column=token.column, expected=label)
+            self.fail(token, label)
         return token
 
     def fail(self, token: _Token, expected: str):
@@ -230,7 +233,43 @@ class _LineParser:
             f"unexpected token {token.text!r}",
             line=self.lineno, column=token.column, expected=expected)
 
+    def number(self, token: _Token, what: str) -> Fraction:
+        """Exact value of a NUMBER token; a zero denominator fails."""
+        try:
+            return Fraction(token.text)
+        except ZeroDivisionError:
+            raise RuleSyntaxError(
+                f"zero denominator in {what}: {token.text}", token=token.text,
+                line=self.lineno, column=token.column,
+                expected="a nonzero denominator") from None
+
+    def parse_positive(self, what: str) -> float:
+        """The next number as a float: finite and above zero."""
+        token = self.expect("NUMBER", expected="a positive number")
+        try:
+            value = float(self.number(token, what))
+        except OverflowError:  # past float range
+            raise RuleSyntaxError(
+                f"{what} is out of range: {token.text}", token=token.text,
+                line=self.lineno, column=token.column,
+                expected="a finite number") from None
+        if value <= 0:
+            raise NonpositiveWeight(
+                f"{what} must be positive: {token.text}", token=token.text,
+                line=self.lineno, column=token.column)
+        return value
+
     # grammar productions
+
+    def parse_directive(self) -> float:
+        """``H1 posnum`` or ``H2 posnum``: a default confidence."""
+        head = self.next("a directive")
+        if len(self.tokens) != 2 or self.tokens[1].kind != "NUMBER":
+            raise RuleSyntaxError(
+                f"malformed {head.text} directive",
+                line=self.lineno, column=head.column + len(head.text),
+                expected=f"{head.text} <positive number>")
+        return self.parse_positive(head.text)
 
     def parse_rule(self) -> Rule:
         self.expect("IDENT", "IF")
@@ -252,7 +291,7 @@ class _LineParser:
         if token is not None:
             if token.kind == "IDENT" and token.text == "WEIGHT":
                 self.i += 1
-                weight = self.parse_weight()
+                weight = self.parse_positive("weight")
                 token = self.peek()
             if token is not None:
                 self.fail(token, "end of rule")
@@ -308,48 +347,15 @@ class _LineParser:
             return letter
         token = self.expect("NUMBER", expected="a numeric literal")
         if feature == "duration":
-            if "/" in token.text:
-                num, den = token.text.split("/")
-                if int(den) == 0:
-                    self.fail(token, "a nonzero denominator")
-                return Fraction(int(num), int(den))
-            return Fraction(token.text)
+            return self.number(token, feature)
         if not token.text.isdigit():
             self.fail(token, f"an integer literal ({feature} is integral)")
         return int(token.text)
 
-    def parse_weight(self) -> float:
-        token = self.expect("NUMBER", expected="a positive number")
-        return _positive_float(token, self.lineno, "weight")
-
-
-def _positive_float(token: _Token, lineno: int, what: str) -> float:
-    """Value of a weight or confidence token: finite and above zero."""
-    text = token.text
-    num, _, den = text.partition("/")
-    if den and not den.strip("0"):
-        raise RuleSyntaxError(
-            f"zero denominator in {what}: {text}", token=text,
-            line=lineno, column=token.column, expected="a nonzero denominator")
-    try:
-        value = int(num) / int(den) if den else float(text)
-    except OverflowError:  # a quotient past float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise RuleSyntaxError(
-            f"{what} is out of range: {text}", token=text,
-            line=lineno, column=token.column, expected="a finite number")
-    if value <= 0:
-        raise NonpositiveWeight(
-            f"{what} must be positive: {text}", token=text,
-            line=lineno, column=token.column)
-    return value
-
 
 def parse_rules(text: str, tagset: TagSet) -> RuleSet:
     """Parse a ruleset file; rule order and line numbers are preserved."""
-    h1 = 2.0
-    h2 = 2.0
+    defaults: dict[str, float] = {}
     rules: list[Rule] = []
     for lineno, data, blank in iter_data_lines(text):
         if blank:
@@ -357,26 +363,18 @@ def parse_rules(text: str, tagset: TagSet) -> RuleSet:
         tokens = _scan(data, lineno)
         if not tokens:
             continue
+        parser = _LineParser(tokens, lineno, tagset)
         head = tokens[0]
-        if head.kind == "IDENT" and head.text in ("H1", "H2"):
-            if rules:
-                raise RuleSyntaxError(
-                    f"{head.text} directive after the first rule",
-                    line=lineno, column=head.column,
-                    expected="directives before all rules")
-            if len(tokens) != 2 or tokens[1].kind != "NUMBER":
-                raise RuleSyntaxError(
-                    f"malformed {head.text} directive",
-                    line=lineno, column=head.column + len(head.text),
-                    expected=f"{head.text} <positive number>")
-            value = _positive_float(tokens[1], lineno, head.text)
-            if head.text == "H1":
-                h1 = value
-            else:
-                h2 = value
-            continue
-        rules.append(_LineParser(tokens, lineno, tagset).parse_rule())
-    return RuleSet(tagset=tagset, rules=tuple(rules), h1=h1, h2=h2)
+        if head.kind != "IDENT" or head.text not in ("H1", "H2"):
+            rules.append(parser.parse_rule())
+        elif rules:
+            raise RuleSyntaxError(
+                f"{head.text} directive after the first rule",
+                line=lineno, column=head.column,
+                expected="directives before all rules")
+        else:
+            defaults[head.text.lower()] = parser.parse_directive()
+    return RuleSet(tagset, tuple(rules), **defaults)
 
 
 def _format_posref(offset: int) -> str:

@@ -290,6 +290,8 @@ def exceeds_digit_limit(number: str) -> bool:
     can write back, so parsing and serializing stay fast.
     """
     limit = digit_limit()
+    if len(number) <= limit and "e" not in number and "E" not in number:
+        return False  # at most ``limit`` digits and no exponent
     mantissa, _, exponent = number.lower().partition("e")
     digits = sum(c.isdecimal() for c in mantissa)
     exponent = "".join(c for c in exponent if c.isdecimal())
@@ -338,7 +340,10 @@ _COMMENT_RE = re.compile(r"(?:^|(?<=\s))#")
 
 
 def decode_text(data: bytes, error: type[InputError] = InputError) -> str:
-    """``data`` as UTF-8; a byte that is not raises ``error`` at its line."""
+    """``data`` as UTF-8; a byte-order mark, or a byte that is not UTF-8,
+    raises ``error`` at its line."""
+    if data.startswith(b"\xef\xbb\xbf"):
+        raise error("starts with a UTF-8 byte-order mark", line=1)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:

@@ -6,8 +6,11 @@ The model scores a tag path y for a melody as::
 
 where emission(t, k) adds the weights of the binary features active at
 position t.  There are no start or end transition weights.  All
-sequence sums run in log space via log-sum-exp, so inference stays
-finite for long melodies and large weights.
+sequence sums run in log space via log-sum-exp, so long melodies do
+not overflow.  Weights so large that the rounding of alpha + beta -
+log Z leaves float range make :func:`infer` raise :class:`InputError`
+rather than return non-finite posteriors, and so does a training update
+that takes the weights out of float range.
 
 Inference offers two views: :func:`posterior_marginals` returns the
 H x T matrix of per-position posteriors P(y_t = k | O) (the prediction
@@ -24,20 +27,19 @@ note context (notes numbered by value) and gathered per position.
 Unseen features and the padding of short rows point at a sentinel
 index F (the feature count), whose weight row is zero, so emissions
 are K gathers and adds with no branch.  A batch stacks into B x T x K
-indices padded past every melody's length; the alpha/beta and Viterbi
-recursions run over the B x T x H batch, and a length mask holds beta
-at zero from each melody's last position and starts its Viterbi
-suffix maxima there.  A vectorizer's names are fixed when it is
+indices padded past every melody's length; the recursions run over the
+B x T x H batch.  One backward pass (:func:`_backward`) gives both log
+beta and the Viterbi suffix maxima, reducing with log-sum-exp or with
+max, and a length mask holds its values at zero from each melody's last
+position.  A vectorizer's names are fixed when it is
 built; ``train`` learns them in the same pass that compiles the
 corpus.  Each melody's gradient is scattered with ``np.add.at``,
 which adds in index order: the order of the per-position loop it
 replaced (melody, then position, each marginal before the gold
 count).  numpy reduces every batch row as it reduced the single
 melody, so models, marginals and paths are bit-identical to the
-per-melody loops'.
-
-Each alpha/beta step reduces one reused B x H x H buffer in place with
-:func:`_lse_core`, under one ``errstate`` for the whole recursion.
+per-melody loops'.  Each alpha and backward step reduces one reused
+B x H x H buffer in place, under one ``errstate`` per recursion.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyCorpus, ShapeMismatch
+from .errors import EmptyCorpus, InputError, ShapeMismatch
 from .score import (Melody, StateSequence, TaggedCorpus, TagMatrix, TagSet,
                     note_numbers)
 
@@ -291,68 +293,67 @@ def _lse_core(a: np.ndarray, axis: int) -> np.ndarray:
     return (np.log1p(total) + np.log(count) + top).squeeze(axis)
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """:func:`_lse_core` on a copy of ``a``: scipy 1.17's ``logsumexp``."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _lse_core(np.array(a, dtype=float), axis)
+def _backward(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray,
+              reduce) -> np.ndarray:
+    """B x T x H backward values of a padded batch, held at zero from
+    each entry's last position on.
 
-
-def _inside(T: int, lengths: np.ndarray) -> np.ndarray:
-    """(T - 1) x B x 1 mask: row t is True for entries longer than t + 1."""
-    return (np.arange(T - 1)[:, None] < lengths - 1)[:, :, None]
+    Each step reduces transition + next emission + next value over the
+    next tag: ``v[t] = reduce(Tr + E[t + 1] + v[t + 1], 2)``.
+    :func:`_lse_core` gives log beta, and ``np.maximum.reduce`` the best
+    suffix score after each (t, k).  The caller sets ``errstate``.
+    """
+    B, T, H = E.shape
+    inside = (np.arange(T - 1)[:, None] < lengths - 1)[:, :, None]
+    work = np.empty((B, H, H))  # each step's terms, overwritten by reduce
+    ahead = np.empty((B, H))
+    v = np.zeros((B, T, H))
+    for t in range(T - 2, -1, -1):
+        np.add(E[:, t + 1], v[:, t + 1], out=ahead)
+        np.add(Tr, ahead[:, None, :], out=work)
+        np.copyto(v[:, t], reduce(work, 2), where=inside[t])
+    return v
 
 
 def _forward_backward(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray):
     """Log-space alpha/beta recursions over a padded B x T x H batch.
 
     Entry b occupies the first ``lengths[b]`` positions of ``E``; its
-    beta is held at zero from its last position on, and its log Z is
-    read at that position.  Returns (log_alpha, log_beta, log_z) with
-    log_z of shape (B,); values past an entry's length are finite and
-    meaningless.
+    log Z is read at its last position.  Returns (log_alpha, log_beta,
+    log_z) with log_z of shape (B,); values past an entry's length are
+    finite and meaningless.
     """
     B, T, H = E.shape
-    inside = _inside(T, lengths)
     work = np.empty((B, H, H))  # each step's terms, overwritten by the core
     log_alpha = np.empty((B, T, H))
     log_alpha[:, 0] = E[:, 0]
-    log_beta = np.zeros((B, T, H))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for t in range(1, T):
             np.add(log_alpha[:, t - 1, :, None], Tr, out=work)
             np.add(E[:, t], _lse_core(work, 1), out=log_alpha[:, t])
-        for t in range(T - 2, -1, -1):
-            np.add(Tr, np.add(E[:, t + 1], log_beta[:, t + 1])[:, None, :],
-                   out=work)
-            np.copyto(log_beta[:, t], _lse_core(work, 2), where=inside[t])
-    log_z = _logsumexp(log_alpha[np.arange(B), lengths - 1], axis=1)
+        log_z = _lse_core(log_alpha[np.arange(B), lengths - 1], 1)
+        log_beta = _backward(E, Tr, lengths, _lse_core)
     return log_alpha, log_beta, log_z
 
 
 def _viterbi(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """B x T best paths of a padded batch; ties go to the smallest sequence.
 
-    Runs the max recursion backward to get, for every (t, k), the best
-    achievable suffix score starting in k, then selects greedily from
-    the front.  Greedy forward selection over suffix maxima yields the
-    lexicographically smallest argmax path, which forward Viterbi with
-    backpointers does not guarantee.  Each entry's suffix starts at its
-    last position; path values past an entry's length are meaningless.
+    With the best suffix score of every (t, k) from :func:`_backward`,
+    selects greedily from the front.  Greedy forward selection over
+    suffix maxima yields the lexicographically smallest argmax path,
+    which forward Viterbi with backpointers does not guarantee.  Path
+    values past an entry's length are meaningless.
     """
     B, T, H = E.shape
-    suffix = E.copy()
-    inside = _inside(T, lengths)
-    work = np.empty((B, H, H))
-    best = np.empty((B, H))
-    for t in range(T - 2, -1, -1):
-        np.add(Tr, suffix[:, t + 1, None, :], out=work)
-        np.add(E[:, t], np.maximum.reduce(work, axis=2, out=best), out=best)
-        np.copyto(suffix[:, t], best, where=inside[t])
+    best = _backward(E, Tr, lengths, np.maximum.reduce)
+    best += E
+    step = np.empty((B, H))
     path = np.empty((B, T), dtype=int)
-    path[:, 0] = suffix[:, 0].argmax(axis=1)
+    path[:, 0] = best[:, 0].argmax(axis=1)
     for t in range(1, T):
-        path[:, t] = np.add(Tr[path[:, t - 1]], suffix[:, t],
-                            out=best).argmax(axis=1)
+        path[:, t] = np.add(Tr[path[:, t - 1]], best[:, t],
+                            out=step).argmax(axis=1)
     return path
 
 
@@ -373,7 +374,8 @@ def infer(model: TaggerModel, melodies: Sequence[Melody]
     the padded batch; forward-backward and Viterbi then share them.
     Each melody's H x T marginals are renormalized to pin their column
     sums, and its path is the maximum-scoring one, smallest index
-    sequence among ties.
+    sequence among ties.  Marginals that are not finite, from weights
+    too large for float range, raise InputError.
     """
     if not melodies:
         return []
@@ -381,12 +383,16 @@ def infer(model: TaggerModel, melodies: Sequence[Melody]
     lengths, E, log_alpha, log_beta, log_z = _crf_pass(model, features)
     paths = _viterbi(E, model.transition_weights, lengths)
     results = []
-    for b, T in enumerate(lengths):
-        marginals = np.exp(log_alpha[b, :T] + log_beta[b, :T] - log_z[b]).T
-        # exact within float error already; renormalize to pin column sums
-        marginals /= marginals.sum(axis=0, keepdims=True)
-        results.append((PredictionMatrix(marginals),
-                        StateSequence(tuple(paths[b, :T].tolist()))))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for b, T in enumerate(lengths):
+            marginals = np.exp(log_alpha[b, :T] + log_beta[b, :T] - log_z[b]).T
+            # exact within float error already; renormalize to pin column sums
+            marginals /= marginals.sum(axis=0, keepdims=True)
+            if not np.isfinite(marginals).all():
+                raise InputError("posteriors of a melody are not finite: "
+                                 "the model's weights are too large")
+            results.append((PredictionMatrix(marginals),
+                            StateSequence(tuple(paths[b, :T].tolist()))))
     return results
 
 
@@ -540,7 +546,9 @@ def train(corpus: TaggedCorpus, config: TrainConfig = TrainConfig(),
     L2 term prorated by the batch's share of corpus entries so a full
     epoch applies the whole penalty exactly once.  Identical corpus,
     config, and seed give bit-identical models.  ``progress`` receives
-    (epoch number, epoch loss) after every epoch.
+    (epoch number, epoch loss) after every epoch.  An update that takes
+    a weight out of float range raises InputError: the step size or the
+    L2 penalty is too large for the corpus.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("cannot train on an empty corpus")
@@ -568,6 +576,11 @@ def train(corpus: TaggedCorpus, config: TrainConfig = TrainConfig(),
             epoch_loss += loss - _l2_penalty(model, batch_l2)
             tokens = sum(len(golds[i]) for i in chosen)
             flat = flatten_weights(model) - config.step_size * gradient / tokens
+            if not np.all(np.isfinite(flat)):
+                raise InputError(
+                    f"training diverged in epoch {epoch + 1}: the weights left "
+                    f"float range (step_size {config.step_size!r}, "
+                    f"l2 {config.l2!r})")
             emissions, transitions = unflatten_weights(flat, F, H)
             model = replace(model, emission_weights=emissions,
                             transition_weights=transitions)

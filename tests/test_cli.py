@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,7 @@ from ornatag.tagger import (
 from test_tagger import feature_context, with_repeated_feature
 
 DATA = Path(__file__).parent / "data"
+SAMPLES = Path(__file__).parent.parent / "samples"
 
 
 def run_cli(argv, capsys):
@@ -569,6 +571,20 @@ class TestUndecodableInput:
         assert out == ""
         assert "not valid UTF-8 at byte 0xff (line 2)" in err
 
+    @pytest.mark.parametrize("kind", ["melody", "corpus", "tagset", "rules",
+                                      "config", "profile", "model"])
+    def test_byte_order_mark_exits_2_at_line_1(self, inputs, tmp_path,
+                                               capsys, kind):
+        bad = tmp_path / f"bom.{kind}"
+        bad.write_bytes(b"\xef\xbb\xbf" + inputs[kind].read_bytes())
+        files = dict(inputs, **{kind: bad})
+        code, out, err = run_cli(
+            argv_reading(kind, files, str(tmp_path / "out")), capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {bad}: starts with a UTF-8 byte-order mark "
+                       "(line 1)\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     def test_line_counts_every_newline(self, newline):
         with pytest.raises(InputError, match="byte 0xe2") as excinfo:
@@ -839,6 +855,46 @@ def readme_pipeline(tmp_path_factory):
     return root
 
 
+class TestWeightsOutOfFloatRange:
+    """A training run or a model whose weights leave float range is bad
+    input (exit 2), and no model is written."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_train_exits_2(self, readme_pipeline, tmp_path,
+                                     capsys):
+        out = tmp_path / "model.txt"
+        code, stdout, err = run_cli(
+            ["train", "--corpus", str(readme_pipeline / "corpus.txt"),
+             "--tagset", str(readme_pipeline / "tags.txt"), "--epochs", "2",
+             "--step", "1e8", "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.endswith(
+            "error: training diverged in epoch 1: the weights left float "
+            "range (step_size 100000000.0, l2 0.01)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, scale", [("eval", 1e20), ("tag", 1e100)])
+    def test_huge_model_weights_exit_2_naming_the_model(
+            self, readme_pipeline, tmp_path, capsys, command, scale):
+        model = load_model(readme_pipeline / "model.txt")
+        path = tmp_path / "huge.model"
+        save_model(replace(model,
+                           emission_weights=model.emission_weights * scale,
+                           transition_weights=model.transition_weights * scale),
+                   path)
+        melody = tmp_path / "tune.melody"
+        melody.write_text("C5:1 D5:1/2 E5:4 F5:1/2 G5:2\n")
+        out = tmp_path / "out.txt"
+        argv = {"eval": ["eval", "--corpus", str(readme_pipeline / "corpus.txt")],
+                "tag": ["tag", "--melody", str(melody), "--out", str(out)],
+                }[command] + ["--model", str(path)]
+        code, stdout, err = run_cli(argv, capsys)
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: {path}: posteriors of a melody are not "
+                       "finite: the model's weights are too large\n")
+        assert not out.exists()
+
+
 class TestEvalPipeline:
     """The README quick-start's stored outputs, and eval's feature pass."""
 
@@ -1068,6 +1124,23 @@ class TestRulesCheck:
         assert code == 0
         assert out == ("line 1: Type1 tag=trills weight=default\n"
                        "line 2: Type2 tag=mordent weight=2.5\n")
+
+    def test_sample_rules(self, capsys):
+        """The shipped rule file: four Type 1 and two Type 2 rules."""
+        code, out, err = run_cli(
+            ["rules-check", str(SAMPLES / "cbf.rules"),
+             "--tagset", str(SAMPLES / "cbf.tagset")], capsys)
+        assert (code, err) == (0, "")
+        assert out == ("line 10: Type1 tag=trills weight=default\n"
+                       "line 13: Type1 tag=fermata weight=3.0\n"
+                       "line 16: Type1 tag=tonguing weight=default\n"
+                       "line 19: Type1 tag=appoggiatura weight=2.5\n"
+                       "line 22: Type2 tag=none weight=default\n"
+                       "line 25: Type2 tag=mordent weight=1.5\n")
+
+    def test_sample_melody(self):
+        text = (SAMPLES / "demo.melody").read_text(encoding="utf-8")
+        assert len(parse_melody(text)) == 11
 
     def test_syntax_error_exits_2(self, tmp_path, capsys):
         """A malformed rule file reports exit 2 and its location."""

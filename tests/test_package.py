@@ -1,11 +1,14 @@
 """The package root: a small, documented set of names."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ornatag
 
@@ -61,3 +64,17 @@ def test_readme_config_keys_are_the_settings_table():
     readme = README.read_text(encoding="utf-8")
     keys = re.search(r"`--config FILE`.*?\(keys: (.*?)\)", readme, re.S)
     assert re.findall(r"`(\w+)`", keys.group(1)) == list(_SETTINGS)
+
+
+def test_console_script_targets_are_callable():
+    """Each ``[project.scripts]`` entry names a callable that exists."""
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(
+        encoding="utf-8"))["project"]
+    assert project["scripts"]
+    for target in project["scripts"].values():
+        module, _, attribute = target.partition(":")
+        value = importlib.import_module(module)
+        for name in attribute.split("."):
+            value = getattr(value, name)
+        assert callable(value), target

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oracles import melody_from_tokens, reference_firings
 from ornatag.errors import (
@@ -181,6 +181,14 @@ class TestParseRules:
         assert (ruleset.h1, ruleset.h2) == (1.5, 0.25)
         assert ruleset.rules[0].weight == 2.5
 
+    @pytest.mark.parametrize("number", ["1/0", "1/00", "0/0"])
+    def test_zero_denominator_in_duration_is_located(self, number):
+        with pytest.raises(RuleSyntaxError) as exc:
+            parse_one(f"IF duration(@t) > {number} THEN tag(@t) = trills")
+        assert (exc.value.line, exc.value.column) == (1, 19)
+        assert exc.value.token == number
+        assert exc.value.expected == "a nonzero denominator"
+
     def test_syntax_error_carries_location(self):
         with pytest.raises(RuleSyntaxError) as exc:
             parse_one("IF duration(@t) > 3 THEN tag(@t) trills")
@@ -262,6 +270,61 @@ _RULE_LINES = st.one_of(
     st.builds("{} {}".format, st.sampled_from(("H1", "H2", "H3")),
               st.sampled_from(_NUMBERS)),
     st.text(alphabet="IFTHEN@t()=<>!/.0123456789 #", max_size=12))
+
+
+def _float_of_number(text):
+    """A weight's value as the parser once computed it: a float, or inf
+    past float range; None for a zero denominator."""
+    num, _, den = text.partition("/")
+    if den and not den.strip("0"):
+        return None
+    try:
+        return int(num) / int(den) if den else float(text)
+    except OverflowError:
+        return math.inf
+
+
+_DIGIT_RUNS = st.text("0123456789", min_size=1, max_size=40)
+_POSITIVE_NUMBERS = st.one_of(
+    st.builds("{}/{}".format, _DIGIT_RUNS | st.text("9", min_size=300,
+                                                    max_size=320),
+              _DIGIT_RUNS),
+    st.builds("{}{}{}".format, _DIGIT_RUNS,
+              st.just("") | _DIGIT_RUNS.map(".{}".format),
+              st.just("") | st.builds("{}{}{}".format, st.sampled_from("eE"),
+                                      st.sampled_from(("", "+", "-")),
+                                      st.integers(0, 400).map(str))))
+
+
+class TestPositiveNumbers:
+    """WEIGHT, H1 and H2 read a number to the float of its exact value:
+    the nearest float, as ``float()`` of the text or the true quotient
+    of its integers gives it."""
+
+    @given(_POSITIVE_NUMBERS)
+    @example(str(2**1024 - 2**970))  # halfway past the largest float
+    @example(str(2**1024 - 2**970 - 1))
+    @example("2.4703282292062327e-324")  # half the smallest subnormal
+    @example("2.4703282292062328e-324")
+    @example("1/" + "1" * 330)
+    def test_same_float_as_the_direct_formula(self, number):
+        want = _float_of_number(number)
+        for template in ("H1 {}\n", "H2 {}\n",
+                         "IF midi(@t) > 60 THEN tag(@t) = trills WEIGHT {}\n"):
+            text = template.format(number)
+            if want is None or want == math.inf:
+                with pytest.raises(RuleSyntaxError) as exc:
+                    parse_rules(text, TAGS)
+                assert exc.value.expected == (
+                    "a finite number" if want else "a nonzero denominator")
+            elif want == 0:
+                with pytest.raises(NonpositiveWeight):
+                    parse_rules(text, TAGS)
+            else:
+                ruleset = parse_rules(text, TAGS)
+                got = (ruleset.rules[0].weight if ruleset.rules
+                       else {"H1": ruleset.h1, "H2": ruleset.h2}[text[:2]])
+                assert got.hex() == want.hex()
 
 
 class TestRuleParserFuzz:

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ornatag.errors import (
     EmptyCorpus,
@@ -25,6 +25,7 @@ from ornatag.score import (
     TaggedCorpus,
     TagSet,
     digit_limit,
+    exceeds_digit_limit,
     parse_corpus,
     parse_melody,
     parse_note,
@@ -193,6 +194,39 @@ class TestParseNote:
     def test_duration_digits_are_ascii(self):
         with pytest.raises(MalformedToken):
             parse_note("C4:\u0663")
+
+
+def _walk_exceeds(number, limit):
+    """The digit-limit predicate as a walk over every character."""
+    mantissa, _, exponent = number.lower().partition("e")
+    digits = sum(c.isdecimal() for c in mantissa)
+    exponent = "".join(c for c in exponent if c.isdecimal())
+    return len(exponent) > limit or digits + int(exponent or "0") > limit
+
+
+_NUMBER_CHARS = "0123456789./eE+-\u0663\u00b2x"
+_EXPONENTS = st.builds("{}{}{}".format, st.sampled_from("eE"),
+                       st.sampled_from(("", "+", "-")),
+                       st.integers(0, 2 * digit_limit()).map(str))
+
+
+class TestDigitLimit:
+    """The short-token shortcut leaves the predicate as it was."""
+
+    @given(st.one_of(
+        st.text(),
+        st.text(_NUMBER_CHARS, max_size=12),
+        st.builds("{}{}{}{}".format, st.text(_NUMBER_CHARS, max_size=3),
+                  st.one_of(st.integers(0, digit_limit() + 3),
+                            st.integers(digit_limit() - 3, digit_limit() + 3)
+                            ).map(lambda n: "1" * n),
+                  st.just("") | _EXPONENTS,
+                  st.text(_NUMBER_CHARS, max_size=3))))
+    @example("1E9999")
+    @example("1" * (digit_limit() + 1))
+    def test_matches_the_character_walk(self, number):
+        assert exceeds_digit_limit(number) == _walk_exceeds(number,
+                                                            digit_limit())
 
 
 class TestSerializeNote:

@@ -37,7 +37,6 @@ from ornatag.tagger import (
     TrainConfig,
     TrainingMeta,
     _compile,
-    _logsumexp,
     duration_bucket,
     emission_matrix,
     extract_features,
@@ -312,6 +311,22 @@ class TestPosteriorMarginals:
         values = posterior_marginals(model, melody).values
         assert np.all(np.isfinite(values))
         np.testing.assert_allclose(values.sum(axis=0), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e300])
+    def test_posteriors_out_of_float_range_are_input_errors(self, scale):
+        """Weights so large that alpha + beta - log Z leaves float range:
+        an input error, not a NaN matrix."""
+        rng = np.random.default_rng(2)
+        melodies = [oracles.random_melody(rng, n) for n in (20, 3)]
+        model = oracles.random_model(rng, melodies[0], h=3, scale=scale)
+        with pytest.raises(InputError, match="not finite"):
+            infer(model, melodies)
+
+
+def _logsumexp(a, axis):
+    """The tagger's log-sum-exp core on a copy of ``a``, warnings silenced."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return tagger._lse_core(np.array(a, dtype=float), axis)
 
 
 class TestLogSumExp:
@@ -655,6 +670,19 @@ class TestTrain:
         tagset = oracles.random_tagset(2)
         with pytest.raises(EmptyCorpus):
             train(TaggedCorpus(tagset, ()), TrainConfig(epochs=1))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_update_is_an_input_error(self):
+        seen = []
+        with pytest.raises(InputError) as excinfo:
+            train(tiny_corpus(n_entries=8),
+                  TrainConfig(epochs=3, step_size=1e200, l2=1e200,
+                              batch_size=2),
+                  progress=lambda epoch, loss: seen.append(epoch))
+        assert seen == []
+        assert str(excinfo.value) == (
+            "training diverged in epoch 1: the weights left float range "
+            "(step_size 1e+200, l2 1e+200)")
 
     def test_full_batch_loss_non_increasing(self):
         """Plain gradient descent on a small corpus must descend.
