@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -23,7 +22,7 @@ from .combine import tag_corpus, tag_with_knowledge
 from .errors import InputError, OrnatagError
 from .metrics import count_satisfied, evaluate, format_metrics
 from .model_io import MAGIC, load_model, save_model
-from .rules import RuleSet, parse_rules
+from .rules import RuleSet, parse_number, parse_rules
 from .score import (
     TagSet,
     TaggedCorpus,
@@ -78,16 +77,20 @@ def _write(path: str, text: str) -> None:
 # -- config files ----------------------------------------------------------------
 
 
-def _domain(parse, holds, name: str):
-    """A setting's converter: ``parse`` the text, then check ``holds``.
+def _domain(kind, holds, name: str):
+    """A setting's converter: one number of the rule file's grammar, as
+    ``kind`` (``int`` takes an ``INT`` only), for which ``holds``.
 
     It serves as the argparse ``type=`` of the setting's flag and as its
-    config-file reader; ``name`` completes both error messages.  The
-    checks are written so that NaN fails them.
+    config-file reader; ``name`` completes both error messages.  A float
+    past float range fails, so every value is finite.
     """
     def convert(text: str):
-        value = parse(text)
-        if not holds(value):
+        try:
+            value = kind(parse_number(text))
+        except OverflowError:
+            raise ValueError(text) from None
+        if not holds(value) or (kind is int and not text.isdigit()):
             raise ValueError(text)
         return value
     convert.__name__ = name
@@ -96,14 +99,14 @@ def _domain(parse, holds, name: str):
 
 _COUNT = _domain(int, lambda v: v >= 0, "nonnegative integer")
 # the rule file's rule for WEIGHT, H1 and H2 holds for step_size too
-_POSITIVE = _domain(float, lambda v: 0 < v < math.inf, "finite positive number")
+_POSITIVE = _domain(float, lambda v: v > 0, "finite positive number")
 
 # Each setting once: config key -> (flag, converter).  The flag stores its
 # value under the config key, so both sources merge by name.
 _SETTINGS = {
     "epochs": ("--epochs", _COUNT),
     "step_size": ("--step", _POSITIVE),
-    "l2": ("--l2", _domain(float, lambda v: 0 <= v < math.inf,
+    "l2": ("--l2", _domain(float, lambda v: v >= 0,
                            "finite nonnegative number")),
     "batch": ("--batch", _domain(int, lambda v: v >= 1, "positive integer")),
     "seed": ("--seed", _COUNT),

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch
+from .errors import InputError
 from .rules import CompiledRules, Firings, RuleSet
 from .score import Melody, StateSequence, TaggedCorpus, TagSet
 
@@ -42,11 +42,11 @@ class Metrics:
 def evaluate(pred: Sequence[StateSequence], gold: TaggedCorpus) -> Metrics:
     """Micro accuracy, per-tag P/R/F1, and macro-F1 over supported tags."""
     if len(pred) != len(gold.entries):
-        raise LengthMismatch(
+        raise InputError(
             f"{len(pred)} predictions for {len(gold.entries)} gold entries")
     for sequence, (_, states) in zip(pred, gold):
         if len(sequence) != len(states):
-            raise LengthMismatch(
+            raise InputError(
                 f"prediction length {len(sequence)} != gold length {len(states)}")
     h = len(gold.tagset)
     counts = np.zeros((h, h), dtype=int)
@@ -54,7 +54,7 @@ def evaluate(pred: Sequence[StateSequence], gold: TaggedCorpus) -> Metrics:
                        np.fromiter(chain.from_iterable(pred), int)), 1)
     total = counts.sum()
     if total == 0:
-        raise LengthMismatch("no tokens to evaluate")
+        raise InputError("no tokens to evaluate")
     accuracy = float(np.trace(counts) / total)
     per_tag = []
     f1_of_supported = []

@@ -17,7 +17,7 @@ Layout (UTF-8, LF line endings)::
 Floats are written as Python's shortest round-trip decimals, so a
 loaded model reproduces inference bit for bit.  The magic line is
 checked before the checksum: a file from a different format version
-reports VersionMismatch even when otherwise damaged.
+reports a version error even when otherwise damaged.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import zlib
 
 import numpy as np
 
-from .errors import CorruptModel, InputError, VersionMismatch
+from .errors import InputError
 from .score import TagSet, decode_text
 from .tagger import FeatureVectorizer, TaggerModel, TrainingMeta
 
@@ -67,7 +67,7 @@ class _Reader:
 
     def next(self, what: str) -> str:
         if self.i >= len(self.lines):
-            raise CorruptModel(f"model file ends before {what}")
+            raise InputError(f"model file ends before {what}")
         line = self.lines[self.i]
         self.i += 1
         return line
@@ -76,7 +76,7 @@ class _Reader:
         line = self.next(f"'{keyword}' header")
         fields = line.split()
         if len(fields) != count + 1 or fields[0] != keyword:
-            raise CorruptModel(f"malformed {keyword!r} header: {line!r}")
+            raise InputError(f"malformed {keyword!r} header: {line!r}")
         return fields[1:]
 
 
@@ -85,27 +85,27 @@ def parse_model(text: str) -> TaggerModel:
     newline = text.find("\n")
     first = text[:newline] if newline >= 0 else text
     if first == MAGIC + "\r":
-        raise CorruptModel("model file has CRLF line ends; the checksum "
-                           "covers its exact bytes, so convert them to LF")
+        raise InputError("model file has CRLF line ends; the checksum "
+                         "covers its exact bytes, so convert them to LF")
     if first != MAGIC:
         if first.startswith("ORNATAG-MODEL"):
-            raise VersionMismatch(
+            raise InputError(
                 f"unsupported model version {first!r}; this build reads {MAGIC!r}")
-        raise VersionMismatch(f"not a model file (magic {first!r})")
+        raise InputError(f"not a model file (magic {first!r})")
     if not text.endswith("\n"):
-        raise CorruptModel("model file is truncated (no final newline)")
+        raise InputError("model file is truncated (no final newline)")
     body, _, tail = text[:-1].rpartition("\n")
     fields = tail.split()
     if len(fields) != 2 or fields[0] != "checksum":
-        raise CorruptModel(f"missing checksum line, found {tail!r}")
+        raise InputError(f"missing checksum line, found {tail!r}")
     body += "\n"
     expected = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
     try:
         stated = int(fields[1], 16)
     except ValueError:
-        raise CorruptModel(f"unreadable checksum {fields[1]!r}") from None
+        raise InputError(f"unreadable checksum {fields[1]!r}") from None
     if stated != expected:
-        raise CorruptModel(
+        raise InputError(
             f"checksum mismatch: stated {fields[1]}, computed {expected:08x}")
 
     reader = _Reader(body[:-1].split("\n"))
@@ -120,32 +120,30 @@ def parse_model(text: str) -> TaggerModel:
             [reader.next("feature name") for _ in range(F)])
         rows_f, cols_h = map(int, reader.header("emissions", 2))
         if (rows_f, cols_h) != (F, H):
-            raise CorruptModel(
+            raise InputError(
                 f"emissions block {rows_f}x{cols_h} does not match "
                 f"{F} features x {H} tags")
         emissions = _read_matrix(reader, F, H, "emissions")
         rows_h, cols_h2 = map(int, reader.header("transitions", 2))
         if (rows_h, cols_h2) != (H, H):
-            raise CorruptModel(
+            raise InputError(
                 f"transitions block {rows_h}x{cols_h2} does not match {H} tags")
         transitions = _read_matrix(reader, H, H, "transitions")
         meta_fields = reader.next("meta line").split()
         if (len(meta_fields) != 7 or meta_fields[0] != "meta"
                 or meta_fields[1] != "epochs" or meta_fields[3] != "loss"
                 or meta_fields[5] != "seed"):
-            raise CorruptModel(f"malformed meta line: {' '.join(meta_fields)!r}")
+            raise InputError(f"malformed meta line: {' '.join(meta_fields)!r}")
         meta = TrainingMeta(
             epochs=int(meta_fields[2]),
             final_loss=float(meta_fields[4]),
             seed=int(meta_fields[6]))
         if reader.i != len(reader.lines):
-            raise CorruptModel(
+            raise InputError(
                 f"trailing data after meta line: {reader.lines[reader.i]!r}")
         return TaggerModel(tagset, vectorizer, emissions, transitions, meta)
-    except CorruptModel:
-        raise
     except (ValueError, IndexError) as err:
-        raise CorruptModel(f"malformed model file: {err}") from err
+        raise InputError(f"malformed model file: {err}") from err
 
 
 def _read_matrix(reader: _Reader, rows: int, cols: int,
@@ -154,7 +152,7 @@ def _read_matrix(reader: _Reader, rows: int, cols: int,
     for r in range(rows):
         parts = reader.next(f"{what} row {r}").split()
         if len(parts) != cols:
-            raise CorruptModel(
+            raise InputError(
                 f"{what} row {r} has {len(parts)} values, expected {cols}")
         out[r] = [float(p) for p in parts]
     return out
@@ -170,7 +168,7 @@ def load_model(path: str | os.PathLike) -> TaggerModel:
     """Read a model from ``path``; an input error in it names ``path``."""
     with open(path, "rb") as handle:
         try:
-            return parse_model(decode_text(handle.read(), CorruptModel))
+            return parse_model(decode_text(handle.read()))
         except InputError as err:
             err.path = os.fspath(path)
             raise

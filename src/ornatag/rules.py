@@ -20,15 +20,18 @@ defaults when absent); an explicit ``WEIGHT`` overrides the default.
 
 Numbers are ASCII: ``INT``, ``INT/INT`` or a decimal with an optional
 exponent, at most :func:`digit_limit` digits plus exponent.
-:meth:`_LineParser.number` reads each one to an exact ``Fraction``;
-a weight or confidence is its nearest float, finite and above zero.
+:func:`parse_number` reads each one to an exact ``Fraction``, for
+rule files and for the CLI's numeric settings alike; a weight or
+confidence is its nearest float, finite and above zero.
 
 The weight matrix starts as all ones, H rows (tags) by T columns
 (positions).  Each rule, in source order, multiplies the cell of its
 consequent tag at ``anchor + consequent offset`` by its weight wherever
 its antecedent holds; out-of-range targets are skipped.  Weights below
-1 suppress, above 1 boost, and firings compose multiplicatively, so
-rule order never changes the result.
+1 suppress, above 1 boost.  A cell is multiplied in firing order (rule
+source order, then anchors left to right), so reordering rules changes
+``p1`` only by floating-point rounding, and not at all when the
+weights are powers of two.
 
 :class:`CompiledRules` evaluates each clause as a boolean mask over the
 positions, note tests once per distinct note value of the call.
@@ -47,7 +50,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import NonpositiveWeight, RuleSyntaxError, UnknownFeature, UnknownTag
+from .errors import InputError
 from .score import (
     Melody,
     StateSequence,
@@ -153,9 +156,12 @@ class Firing:
 
 # -- scanner -------------------------------------------------------------------
 
+_NUMBER_RE = re.compile(
+    r"[0-9]+/[0-9]+|[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+
 _TOKEN_RE = re.compile(
     r"(?P<POSREF>@t(?:[+-][0-9]+)?)"
-    r"|(?P<NUMBER>[0-9]+/[0-9]+|[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)"
+    rf"|(?P<NUMBER>{_NUMBER_RE.pattern})"
     r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<OP>==|!=|>=|<=|>|<|=)"
     r"|(?P<LPAREN>\()"
@@ -176,7 +182,7 @@ def _scan(data: str, lineno: int) -> list[_Token]:
     while pos < len(data):
         match = _TOKEN_RE.match(data, pos)
         if not match:
-            raise RuleSyntaxError(
+            raise InputError(
                 f"unexpected character {data[pos]!r}",
                 line=lineno, column=pos + 1, expected="a rule token")
         kind = match.lastgroup
@@ -192,10 +198,24 @@ def _check_size(text: str, lineno: int, column: int) -> None:
     """Reject a number whose digits plus decimal exponent pass the limit."""
     if exceeds_digit_limit(text):
         limit = digit_limit()
-        raise RuleSyntaxError(
+        raise InputError(
             f"number too large: its digits plus its exponent exceed {limit}",
             line=lineno, column=column,
             expected=f"at most {limit} digits, exponent included")
+
+
+def parse_number(text: str) -> Fraction:
+    """The exact value of ``text``, one number of the rule grammar.
+
+    Raises ValueError when ``text`` is anything else, passes the digit
+    limit or has a zero denominator.
+    """
+    if not _NUMBER_RE.fullmatch(text) or exceeds_digit_limit(text):
+        raise ValueError(f"not a number of the rule grammar: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 class _LineParser:
@@ -214,7 +234,7 @@ class _LineParser:
         token = self.peek()
         if token is None:
             end = self.tokens[-1].column + len(self.tokens[-1].text)
-            raise RuleSyntaxError(
+            raise InputError(
                 "unexpected end of rule",
                 line=self.lineno, column=end, expected=expected)
         self.i += 1
@@ -229,16 +249,16 @@ class _LineParser:
         return token
 
     def fail(self, token: _Token, expected: str):
-        raise RuleSyntaxError(
+        raise InputError(
             f"unexpected token {token.text!r}",
             line=self.lineno, column=token.column, expected=expected)
 
     def number(self, token: _Token, what: str) -> Fraction:
         """Exact value of a NUMBER token; a zero denominator fails."""
         try:
-            return Fraction(token.text)
-        except ZeroDivisionError:
-            raise RuleSyntaxError(
+            return parse_number(token.text)
+        except ValueError:  # the scanner checked all but the denominator
+            raise InputError(
                 f"zero denominator in {what}: {token.text}", token=token.text,
                 line=self.lineno, column=token.column,
                 expected="a nonzero denominator") from None
@@ -249,12 +269,12 @@ class _LineParser:
         try:
             value = float(self.number(token, what))
         except OverflowError:  # past float range
-            raise RuleSyntaxError(
+            raise InputError(
                 f"{what} is out of range: {token.text}", token=token.text,
                 line=self.lineno, column=token.column,
                 expected="a finite number") from None
         if value <= 0:
-            raise NonpositiveWeight(
+            raise InputError(
                 f"{what} must be positive: {token.text}", token=token.text,
                 line=self.lineno, column=token.column)
         return value
@@ -265,7 +285,7 @@ class _LineParser:
         """``H1 posnum`` or ``H2 posnum``: a default confidence."""
         head = self.next("a directive")
         if len(self.tokens) != 2 or self.tokens[1].kind != "NUMBER":
-            raise RuleSyntaxError(
+            raise InputError(
                 f"malformed {head.text} directive",
                 line=self.lineno, column=head.column + len(head.text),
                 expected=f"{head.text} <positive number>")
@@ -308,7 +328,7 @@ class _LineParser:
         if head.kind != "IDENT" or head.text in _KEYWORDS:
             self.fail(head, "a feature or 'pred'")
         if head.text not in FEATURES:
-            raise UnknownFeature(
+            raise InputError(
                 f"unknown feature {head.text!r}", token=head.text,
                 line=self.lineno, column=head.column)
         feature = head.text
@@ -331,7 +351,7 @@ class _LineParser:
         """A tag name of the bound tag set, as its index."""
         token = self.expect("IDENT", expected="a tag name")
         if token.text not in self.tagset:
-            raise UnknownTag(
+            raise InputError(
                 f"unknown tag {token.text!r}", token=token.text,
                 line=self.lineno, column=token.column)
         return self.tagset.index(token.text)
@@ -368,7 +388,7 @@ def parse_rules(text: str, tagset: TagSet) -> RuleSet:
         if head.kind != "IDENT" or head.text not in ("H1", "H2"):
             rules.append(parser.parse_rule())
         elif rules:
-            raise RuleSyntaxError(
+            raise InputError(
                 f"{head.text} directive after the first rule",
                 line=lineno, column=head.column,
                 expected="directives before all rules")
@@ -508,5 +528,6 @@ def collect_firings(ruleset: RuleSet, melody: Melody,
 
 def build_weight_matrix(ruleset: RuleSet, melody: Melody,
                         base: StateSequence) -> WeightMatrix:
-    """p1 of the firings on one melody; rule order does not change it."""
+    """p1 of the firings on one melody, each cell multiplied in firing
+    order; rule order changes it only by rounding."""
     return CompiledRules(ruleset).fire(melody, base).weight_matrix()

@@ -26,16 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    EmptyCorpus,
-    InputError,
-    InvalidDuration,
-    InvalidOctave,
-    InvalidStep,
-    LengthMismatch,
-    MalformedToken,
-    UnknownTag,
-)
+from .errors import InputError
 
 STEPS = "CDEFGAB"
 
@@ -151,7 +142,7 @@ class TagSet:
         try:
             return self._index[tag]
         except KeyError:
-            raise UnknownTag(f"unknown tag {tag!r}", token=tag) from None
+            raise InputError(f"unknown tag {tag!r}", token=tag) from None
 
     def name(self, index: int) -> str:
         return self.tags[index]
@@ -190,10 +181,10 @@ class TaggedCorpus:
         h = len(self.tagset)
         for melody, states in self.entries:
             if len(melody) != len(states):
-                raise LengthMismatch(
+                raise InputError(
                     f"melody length {len(melody)} != state length {len(states)}")
             if any(not 0 <= s < h for s in states):
-                raise UnknownTag("state index outside the bound tag set")
+                raise InputError("state index outside the bound tag set")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -235,14 +226,14 @@ class TagMatrix:
 def parse_note(token: str) -> Note:
     """Parse a canonical note token such as ``C1:4`` or ``C#4:3/2``."""
     if not token:
-        raise MalformedToken("empty note token", token=token, column=1)
+        raise InputError("empty note token", token=token, column=1)
     pos = 0
     step = token[0].upper()
     if not token[0].isalpha():
-        raise MalformedToken(
+        raise InputError(
             f"expected a step letter: {token!r}", token=token, column=1)
     if step not in _STEP_SEMITONE:
-        raise InvalidStep(
+        raise InputError(
             f"step letter outside {STEPS}: {token[0]!r}", token=token, column=1)
     pos = 1
     alteration = 0
@@ -254,19 +245,19 @@ def parse_note(token: str) -> Note:
         alteration = count if acc == "#" else -count
         pos += count
     if pos >= len(token) or token[pos] not in "0123456789":
-        raise InvalidOctave(
+        raise InputError(
             f"expected an octave digit: {token!r}", token=token, column=pos + 1)
     octave = int(token[pos])
     pos += 1
     if pos >= len(token) or token[pos] != ":":
-        raise MalformedToken(
+        raise InputError(
             f"expected ':' before the duration: {token!r}",
             token=token, column=pos + 1)
     pos += 1
     duration = _parse_duration(token, pos)
     midi = midi_number(step, alteration, octave)
     if not MIDI_MIN <= midi <= MIDI_MAX:
-        raise InvalidOctave(
+        raise InputError(
             f"pitch outside MIDI range [12, 127]: {token!r}",
             token=token, column=2)
     return Note(step, alteration, octave, duration)
@@ -301,20 +292,20 @@ def exceeds_digit_limit(number: str) -> bool:
 def _parse_duration(token: str, pos: int) -> Fraction:
     match = re.match(r"([0-9]+)(?:/([0-9]+))?\Z", token[pos:])
     if not match:
-        raise MalformedToken(
+        raise InputError(
             f"expected a duration 'int' or 'int/int': {token!r}",
             token=token, column=pos + 1)
     if any(exceeds_digit_limit(run) for run in match.groups() if run):
-        raise InvalidDuration(
+        raise InputError(
             f"duration has more than {digit_limit()} digits in a row",
             column=pos + 1)
     num = int(match.group(1))
     den = int(match.group(2)) if match.group(2) else 1
     if den == 0:
-        raise InvalidDuration(
+        raise InputError(
             f"zero denominator: {token!r}", token=token, column=pos + 1)
     if num == 0:
-        raise InvalidDuration(
+        raise InputError(
             f"zero duration: {token!r}", token=token, column=pos + 1)
     return Fraction(num, den)
 
@@ -339,17 +330,17 @@ def serialize_note(note: Note) -> str:
 _COMMENT_RE = re.compile(r"(?:^|(?<=\s))#")
 
 
-def decode_text(data: bytes, error: type[InputError] = InputError) -> str:
+def decode_text(data: bytes) -> str:
     """``data`` as UTF-8; a byte-order mark, or a byte that is not UTF-8,
-    raises ``error`` at its line."""
+    raises InputError at its line."""
     if data.startswith(b"\xef\xbb\xbf"):
-        raise error("starts with a UTF-8 byte-order mark", line=1)
+        raise InputError("starts with a UTF-8 byte-order mark", line=1)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:
         line = len(re.findall(rb"\r\n?|\n", data[:err.start])) + 1
-        raise error(f"not valid UTF-8 at byte {data[err.start]:#04x}",
-                    line=line) from None
+        raise InputError(f"not valid UTF-8 at byte {data[err.start]:#04x}",
+                         line=line) from None
 
 
 def iter_data_lines(text: str) -> Iterator[tuple[int, str, bool]]:
@@ -375,13 +366,13 @@ def parse_tagset(text: str) -> TagSet:
         if blank:
             continue
         if not _TAG_RE.match(data):
-            raise UnknownTag(
+            raise InputError(
                 f"invalid tag identifier {data!r}", token=data, line=lineno)
         if data in tags:
-            raise UnknownTag(f"duplicate tag {data!r}", token=data, line=lineno)
+            raise InputError(f"duplicate tag {data!r}", token=data, line=lineno)
         tags.append(data)
     if len(tags) < 2:
-        raise EmptyCorpus("a tag set file needs at least 2 tags")
+        raise InputError("a tag set file needs at least 2 tags")
     return TagSet(tuple(tags))
 
 
@@ -399,7 +390,7 @@ def parse_melody(text: str) -> Melody:
         notes.extend(_parse_located_note(token, lineno, interned)
                      for token in data.split())
     if not notes:
-        raise EmptyCorpus("melody file contains no notes")
+        raise InputError("melody file contains no notes")
     return Melody(tuple(notes))
 
 
@@ -442,17 +433,17 @@ def parse_corpus(text: str, tagset: TagSet) -> TaggedCorpus:
             # tolerate space-separated pairs, but exactly two fields
             fields = data.split()
         if len(fields) != 2:
-            raise LengthMismatch(
+            raise InputError(
                 f"expected 'note<TAB>tag', got {data!r}", line=lineno)
         token, tag = fields
         note = _parse_located_note(token, lineno, interned)
         if tag not in tagset:
-            raise UnknownTag(f"unknown tag {tag!r}", token=tag, line=lineno)
+            raise InputError(f"unknown tag {tag!r}", token=tag, line=lineno)
         notes.append(note)
         states.append(tagset.index(tag))
     flush()
     if not entries:
-        raise EmptyCorpus("corpus file contains no entries")
+        raise InputError("corpus file contains no entries")
     return TaggedCorpus(tagset, tuple(entries))
 
 

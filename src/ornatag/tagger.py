@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyCorpus, InputError, ShapeMismatch
+from .errors import InputError, ShapeMismatch
 from .score import (Melody, StateSequence, TaggedCorpus, TagMatrix, TagSet,
                     note_numbers)
 
@@ -498,7 +498,7 @@ def nll_and_gradient(model: TaggerModel, batch: TaggedCorpus,
     comes back flattened emission-rows-then-transition-rows.
     """
     if len(batch) == 0:
-        raise EmptyCorpus("gradient of an empty batch")
+        raise InputError("gradient of an empty batch")
     _, features = _compile((melody for melody, _ in batch), model.vectorizer)
     golds = [np.array(gold.tags) for _, gold in batch]
     return _nll_and_gradient(model, features, golds, l2)
@@ -551,7 +551,7 @@ def train(corpus: TaggedCorpus, config: TrainConfig = TrainConfig(),
     L2 penalty is too large for the corpus.
     """
     if len(corpus) == 0:
-        raise EmptyCorpus("cannot train on an empty corpus")
+        raise InputError("cannot train on an empty corpus")
     tagset = corpus.tagset
     H = len(tagset)
     vectorizer, features = _compile((melody for melody, _ in corpus),
@@ -570,12 +570,14 @@ def train(corpus: TaggedCorpus, config: TrainConfig = TrainConfig(),
         for start in range(0, n_entries, config.batch_size):
             chosen = order[start:start + config.batch_size]
             batch_l2 = config.l2 * len(chosen) / n_entries
-            loss, gradient = _nll_and_gradient(
-                model, [features[i] for i in chosen],
-                [golds[i] for i in chosen], batch_l2)
-            epoch_loss += loss - _l2_penalty(model, batch_l2)
             tokens = sum(len(golds[i]) for i in chosen)
-            flat = flatten_weights(model) - config.step_size * gradient / tokens
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                loss, gradient = _nll_and_gradient(
+                    model, [features[i] for i in chosen],
+                    [golds[i] for i in chosen], batch_l2)
+                epoch_loss += loss - _l2_penalty(model, batch_l2)
+                flat = (flatten_weights(model)
+                        - config.step_size * gradient / tokens)
             if not np.all(np.isfinite(flat)):
                 raise InputError(
                     f"training diverged in epoch {epoch + 1}: the weights left "

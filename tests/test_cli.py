@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from ornatag import cli, combine, tagger
 from ornatag.cli import main, parse_config
-from ornatag.errors import CorruptModel, InputError
+from ornatag.errors import InputError
 from ornatag.model_io import load_model, save_model
 from ornatag.score import (
     StateSequence,
@@ -288,6 +288,43 @@ class TestNumericSettings:
             capsys)
         assert code == 2
         assert "'h1'" in err and "line 1" in err
+
+    def test_fraction_means_the_same_in_flag_config_and_rule_file(
+            self, workdir, tune, capsys):
+        """``3/2`` reads as 1.5 as a flag, a config value and a directive:
+        the default-weight rule's firing carries it."""
+        (tune / "h1.cfg").write_text("h1=3/2\n")
+        (tune / "h1.rules").write_text(
+            "H1 3/2\n" + (tune / "default.rules").read_text())
+        args = self.rules_args("tag", workdir, tune) + ["--explain"]
+        weights = []
+        for extra in (["--h1", "3/2"], ["--config", str(tune / "h1.cfg")],
+                      ["--rules", str(tune / "h1.rules")]):
+            assert run_cli(args + extra, capsys)[0] == 0
+            explain = (tune / "t.txt.explain").read_text()
+            weights.append(explain.split()[-1])
+        assert weights == ["x1.5"] * 3
+        assert parse_config("h1=3/2\n") == {"h1": 1.5}
+
+    @pytest.mark.parametrize("key, flag", [("h1", "--h1"),
+                                           ("epochs", "--epochs")])
+    @pytest.mark.parametrize("value", ["\u0663", "1_0", "+3", "1/0", "1e400"])
+    def test_only_the_rule_number_grammar(self, workdir, tune, capsys, key,
+                                          flag, value):
+        """A number the rule grammar rejects is a usage error as a flag
+        and bad input in a config file, never an internal error."""
+        if key == "h1":
+            args = self.rules_args("tag", workdir, tune)
+        else:
+            args = self.train_args(workdir, tune)[:-2]
+        code, out, err = run_cli(args + [flag, value], capsys)
+        assert (code, out) == (1, "")
+        assert f"argument {flag}: invalid" in err
+        config = tune / "bad.cfg"
+        config.write_text(f"{key}={value}\n", encoding="utf-8")
+        code, out, err = run_cli(args + ["--config", str(config)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {config}: bad value for '{key}'")
 
     def test_bad_epochs_config_exits_2(self, workdir, tmp_path, capsys):
         config = tmp_path / "train.cfg"
@@ -595,7 +632,7 @@ class TestUndecodableInput:
         bad = tmp_path / "bad.model"
         head = inputs["model"].read_bytes().split(b"\n")[:3]
         bad.write_bytes(b"\n".join(head) + b"\n\xc3(\n")
-        with pytest.raises(CorruptModel, match="byte 0xc3") as excinfo:
+        with pytest.raises(InputError, match="byte 0xc3") as excinfo:
             load_model(bad)
         assert excinfo.value.line == 4
 
@@ -663,7 +700,7 @@ class TestErrorsNameTheirFile:
              "--out", str(tmp_path / "out")], capsys)
         assert (code, stdout) == (2, "")
         assert err.startswith(f"error: {bad}: model file has CRLF line ends")
-        with pytest.raises(CorruptModel) as excinfo:
+        with pytest.raises(InputError, match="CRLF line ends") as excinfo:
             load_model(bad)
         assert excinfo.value.path == str(bad)
 
@@ -859,7 +896,6 @@ class TestWeightsOutOfFloatRange:
     """A training run or a model whose weights leave float range is bad
     input (exit 2), and no model is written."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_train_exits_2(self, readme_pipeline, tmp_path,
                                      capsys):
         out = tmp_path / "model.txt"
@@ -868,7 +904,7 @@ class TestWeightsOutOfFloatRange:
              "--tagset", str(readme_pipeline / "tags.txt"), "--epochs", "2",
              "--step", "1e8", "--out", str(out)], capsys)
         assert (code, stdout) == (2, "")
-        assert err.endswith(
+        assert err == (
             "error: training diverged in epoch 1: the weights left float "
             "range (step_size 100000000.0, l2 0.01)\n")
         assert not out.exists()
@@ -1153,6 +1189,18 @@ class TestRulesCheck:
         ], capsys)
         assert code == 2
         assert "line 1" in err
+
+    def test_syntax_error_names_what_was_expected(self, tmp_path, capsys):
+        tagset_path = tmp_path / "tags.txt"
+        tagset_path.write_text("none\ntrills\n")
+        rules_path = tmp_path / "broken.rules"
+        rules_path.write_text("IF duration(@t) > 3 THEN tag(@t) trills\n")
+        code, out, err = run_cli([
+            "rules-check", str(rules_path), "--tagset", str(tagset_path),
+        ], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {rules_path}: unexpected token 'trills' "
+                       "(line 1, column 34; expected '=')\n")
 
     @pytest.mark.parametrize("text", [
         "IF duration(@t) > 3 THEN tag(@t) = trills WEIGHT 1/0\n",
