@@ -10,7 +10,6 @@ positions, it does not re-run sequence decoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import ShapeMismatch
 from .rules import CompiledRules, Firing, Firings, RuleSet, WeightMatrix
 from .score import Melody, StateSequence, TagMatrix, TagSet
-from .tagger import PredictionMatrix, TaggerModel, infer
+from .tagger import PredictionMatrix, TaggerModel, _batches, infer
 
 
 class CombinedMatrix(TagMatrix):
@@ -63,35 +62,35 @@ class TagResult:
         return tuple(self.firings.records())
 
 
-# melodies per inference batch: it bounds the padded arrays and the
-# results held at once while a corpus streams through
-_BATCH = 16
-
-
 def tag_corpus(model: TaggerModel, rules: RuleSet,
                melodies: Iterable[Melody]) -> Iterator[TagResult]:
     """:func:`tag_with_knowledge` for each melody, in order.
 
     Marginals and base paths come from one batched inference pass per
-    batch of melodies; the rule pass and fusion then run per melody,
-    each note test evaluated once per distinct note of the call.
+    batch of melodies, as many as fit in a budget of padded cells
+    (melodies x longest length); the rule pass and fusion then run per
+    melody, each note test evaluated once per distinct note of the call.
     Results are yielded one at a time, so a caller that does not keep
-    them holds at most one batch.  A ruleset bound to another tag set
-    than the model's raises ShapeMismatch on the first ``next``.
+    them holds at most one batch, and the input is read at most one
+    melody past it.  A ruleset bound to another tag set than the
+    model's raises ShapeMismatch on the first ``next``.  Posteriors out
+    of float range raise InputError naming the melody's number in the
+    input.
     """
     if rules.tagset != model.tagset:
         raise ShapeMismatch("ruleset is bound to a different tag set "
                             "than the model")
     compiled = CompiledRules(rules)
-    melodies = iter(melodies)
-    while batch := list(islice(melodies, _BATCH)):
-        for melody, (p2, base) in zip(batch, infer(model, batch)):
+    start = 1
+    for batch in _batches(melodies):
+        for melody, (p2, base) in zip(batch, infer(model, batch, start)):
             firings = compiled.fire(melody, base)
             p1 = firings.weight_matrix()
             fused = combine(p1, p2)
             final = decode(fused, model.tagset)
             yield TagResult(final=final, base=base, p1=p1, p2=p2,
                             combined=fused, firings=firings)
+        start += len(batch)
 
 
 def tag_with_knowledge(model: TaggerModel, rules: RuleSet,

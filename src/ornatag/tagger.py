@@ -9,8 +9,9 @@ position t.  There are no start or end transition weights.  All
 sequence sums run in log space via log-sum-exp, so long melodies do
 not overflow.  Weights so large that the rounding of alpha + beta -
 log Z leaves float range make :func:`infer` raise :class:`InputError`
-rather than return non-finite posteriors, and so does a training update
-that takes the weights out of float range.
+rather than return non-finite posteriors, naming the melody, and so
+does a training run whose update takes the weights, or whose loss
+goes, out of float range.
 
 Inference offers two views: :func:`posterior_marginals` returns the
 H x T matrix of per-position posteriors P(y_t = k | O) (the prediction
@@ -27,19 +28,24 @@ note context (notes numbered by value) and gathered per position.
 Unseen features and the padding of short rows point at a sentinel
 index F (the feature count), whose weight row is zero, so emissions
 are K gathers and adds with no branch.  A batch stacks into B x T x K
-indices padded past every melody's length; the recursions run over the
-B x T x H batch.  One backward pass (:func:`_backward`) gives both log
-beta and the Viterbi suffix maxima, reducing with log-sum-exp or with
-max, and a length mask holds its values at zero from each melody's last
-position.  A vectorizer's names are fixed when it is
+indices padded past every melody's length, longest melody first (a
+batch of one as it is); the recursions run over the B x T x H batch,
+and at each step only over the prefix of rows still inside their
+melody, so ended rows cost nothing.  One backward pass
+(:func:`_backward`) gives both log beta and the Viterbi suffix maxima,
+reducing with log-sum-exp or with max.  A loss without a gradient
+(``train``'s final loss) runs the alpha recursion alone, in batches of
+at most ``_BATCH_CELLS`` padded cells, as ``combine.tag_corpus``
+does.  A vectorizer's names are fixed when it is
 built; ``train`` learns them in the same pass that compiles the
 corpus.  Each melody's gradient is scattered with ``np.add.at``,
 which adds in index order: the order of the per-position loop it
 replaced (melody, then position, each marginal before the gold
-count).  numpy reduces every batch row as it reduced the single
-melody, so models, marginals and paths are bit-identical to the
-per-melody loops'.  Each alpha and backward step reduces one reused
-B x H x H buffer in place, under one ``errstate`` per recursion.
+count), and losses are added in entry order whatever the row order.
+numpy reduces every batch row as it reduced the single melody, so
+models, marginals and paths are bit-identical to the per-melody
+loops'.  Each alpha and backward step reduces one reused B x H x H
+buffer in place, under one ``errstate`` per recursion.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -244,11 +250,13 @@ def _compile(melodies: Iterable[Melody],
     return vectorizer, [table[n, :widths[n].max()] for n in numbers]
 
 
-def _pad(arrays: Sequence[np.ndarray], fill: int) -> np.ndarray:
-    """Stack arrays into one, each right-padded with ``fill`` on every axis."""
+def _pad(arrays: Sequence[np.ndarray], fill: int,
+         rows: Sequence[int]) -> np.ndarray:
+    """Stack arrays into one, array i at row ``rows[i]``, each
+    right-padded with ``fill`` on every axis."""
     shape = np.max([a.shape for a in arrays], axis=0)
     out = np.full((len(arrays), *shape), fill, dtype=arrays[0].dtype)
-    for b, a in enumerate(arrays):
+    for b, a in zip(rows, arrays):
         out[(b, *map(slice, a.shape))] = a
     return out
 
@@ -293,80 +301,133 @@ def _lse_core(a: np.ndarray, axis: int) -> np.ndarray:
     return (np.log1p(total) + np.log(count) + top).squeeze(axis)
 
 
+def _live(lengths: np.ndarray, T: int) -> list[int]:
+    """For each position t < T, how many rows of a batch padded longest
+    first are inside their melody: the rows of length above t."""
+    if len(lengths) == 1:  # a lone melody: no search
+        return [1] * T
+    return np.searchsorted(-lengths, -np.arange(T)).tolist()
+
+
 def _backward(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray,
               reduce) -> np.ndarray:
-    """B x T x H backward values of a padded batch, held at zero from
-    each entry's last position on.
+    """B x T x H backward values of a batch padded longest first, held at
+    zero from each entry's last position on.
 
     Each step reduces transition + next emission + next value over the
-    next tag: ``v[t] = reduce(Tr + E[t + 1] + v[t + 1], 2)``.
+    next tag, ``v[t] = reduce(Tr + E[t + 1] + v[t + 1], 2)``, for the
+    rows whose melody reaches t + 1: a prefix of the batch.
     :func:`_lse_core` gives log beta, and ``np.maximum.reduce`` the best
     suffix score after each (t, k).  The caller sets ``errstate``.
     """
     B, T, H = E.shape
-    inside = (np.arange(T - 1)[:, None] < lengths - 1)[:, :, None]
+    live = _live(lengths, T)
     work = np.empty((B, H, H))  # each step's terms, overwritten by reduce
     ahead = np.empty((B, H))
     v = np.zeros((B, T, H))
     for t in range(T - 2, -1, -1):
-        np.add(E[:, t + 1], v[:, t + 1], out=ahead)
-        np.add(Tr, ahead[:, None, :], out=work)
-        np.copyto(v[:, t], reduce(work, 2), where=inside[t])
+        n = live[t + 1]
+        np.add(E[:n, t + 1], v[:n, t + 1], out=ahead[:n])
+        v[:n, t] = reduce(np.add(Tr, ahead[:n, None, :], out=work[:n]), 2)
     return v
 
 
-def _forward_backward(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray):
-    """Log-space alpha/beta recursions over a padded B x T x H batch.
+def _forward(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray):
+    """Log alpha (B x T x H) and log Z (B,) of a batch padded longest first.
 
-    Entry b occupies the first ``lengths[b]`` positions of ``E``; its
-    log Z is read at its last position.  Returns (log_alpha, log_beta,
-    log_z) with log_z of shape (B,); values past an entry's length are
-    finite and meaningless.
+    Step t extends the rows whose melody reaches t, a prefix of the
+    batch; each entry's log Z is read at its last position.  Values past
+    an entry's length are never written.
     """
     B, T, H = E.shape
+    live = _live(lengths, T)
     work = np.empty((B, H, H))  # each step's terms, overwritten by the core
     log_alpha = np.empty((B, T, H))
     log_alpha[:, 0] = E[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(all="ignore"):
         for t in range(1, T):
-            np.add(log_alpha[:, t - 1, :, None], Tr, out=work)
-            np.add(E[:, t], _lse_core(work, 1), out=log_alpha[:, t])
+            n = live[t]
+            terms = np.add(log_alpha[:n, t - 1, :, None], Tr, out=work[:n])
+            np.add(E[:n, t], _lse_core(terms, 1), out=log_alpha[:n, t])
         log_z = _lse_core(log_alpha[np.arange(B), lengths - 1], 1)
+    return log_alpha, log_z
+
+
+def _forward_backward(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray):
+    """(log_alpha, log_beta, log_z) of a batch padded longest first, with
+    log_z of shape (B,); values past an entry's length are meaningless."""
+    log_alpha, log_z = _forward(E, Tr, lengths)
+    with np.errstate(all="ignore"):
         log_beta = _backward(E, Tr, lengths, _lse_core)
     return log_alpha, log_beta, log_z
 
 
 def _viterbi(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """B x T best paths of a padded batch; ties go to the smallest sequence.
+    """B x T best paths of a batch padded longest first; ties go to the
+    smallest sequence.
 
     With the best suffix score of every (t, k) from :func:`_backward`,
-    selects greedily from the front.  Greedy forward selection over
-    suffix maxima yields the lexicographically smallest argmax path,
-    which forward Viterbi with backpointers does not guarantee.  Path
-    values past an entry's length are meaningless.
+    selects greedily from the front, at step t for the rows whose melody
+    reaches t.  Greedy forward selection over suffix maxima yields the
+    lexicographically smallest argmax path, which forward Viterbi with
+    backpointers does not guarantee.  Path values past an entry's length
+    are meaningless.
     """
     B, T, H = E.shape
+    live = _live(lengths, T)
     best = _backward(E, Tr, lengths, np.maximum.reduce)
     best += E
     step = np.empty((B, H))
     path = np.empty((B, T), dtype=int)
     path[:, 0] = best[:, 0].argmax(axis=1)
     for t in range(1, T):
-        path[:, t] = np.add(Tr[path[:, t - 1]], best[:, t],
-                            out=step).argmax(axis=1)
+        n = live[t]
+        path[:n, t] = np.add(Tr[path[:n, t - 1]], best[:n, t],
+                             out=step[:n]).argmax(axis=1)
     return path
 
 
 def _crf_pass(model: TaggerModel, features: Sequence[np.ndarray]):
-    """(lengths, E, log_alpha, log_beta, log_z) of compiled melodies: one
-    emission build over the padded batch, and forward-backward on it."""
-    lengths = np.array([len(rows) for rows in features])
-    E = _emissions(model.emission_weights, _pad(features, model.num_features))
-    return (lengths, E,
-            *_forward_backward(E, model.transition_weights, lengths))
+    """(rows, lengths, E) of compiled melodies: one batch padded longest
+    first, as the recursions need, and its emissions.
+
+    Entry i is row ``rows[i]`` and ``lengths`` are the rows' lengths, so
+    they do not increase.  A batch of one is taken as it is.
+    """
+    lengths = np.array([len(indices) for indices in features])
+    rows = [0]
+    if len(features) > 1:
+        order = np.argsort(-lengths, kind="stable")
+        lengths = lengths[order]
+        rows = np.argsort(order).tolist()
+    E = _emissions(model.emission_weights,
+                   _pad(features, model.num_features, rows))
+    return rows, lengths, E
 
 
-def infer(model: TaggerModel, melodies: Sequence[Melody]
+# padded cells (melodies x longest length) per batch of tag_corpus and of
+# the loss-only pass: it bounds the B x T x H arrays held at once
+_BATCH_CELLS = 2**15
+
+
+def _batches(items: Iterable, length: Callable = len) -> Iterator[list]:
+    """``items`` in consecutive lists, each of as many items as fit in
+    ``_BATCH_CELLS`` padded cells, and at least one.  Reads one item
+    past the list it yields."""
+    batch: list = []
+    longest = 0
+    for item in items:
+        size = length(item)
+        if batch and (len(batch) + 1) * max(longest, size) > _BATCH_CELLS:
+            yield batch
+            batch, longest = [], 0
+        batch.append(item)
+        longest = max(longest, size)
+    if batch:
+        yield batch
+
+
+def infer(model: TaggerModel, melodies: Sequence[Melody], start: int = 1
           ) -> list[tuple[PredictionMatrix, StateSequence]]:
     """Posterior marginals and Viterbi path of each melody, in one batch.
 
@@ -375,22 +436,26 @@ def infer(model: TaggerModel, melodies: Sequence[Melody]
     Each melody's H x T marginals are renormalized to pin their column
     sums, and its path is the maximum-scoring one, smallest index
     sequence among ties.  Marginals that are not finite, from weights
-    too large for float range, raise InputError.
+    too large for float range, raise InputError naming the melody by
+    its number, counting from ``start``.
     """
     if not melodies:
         return []
     _, features = _compile(melodies, model.vectorizer)
-    lengths, E, log_alpha, log_beta, log_z = _crf_pass(model, features)
-    paths = _viterbi(E, model.transition_weights, lengths)
+    rows, lengths, E = _crf_pass(model, features)
+    Tr = model.transition_weights
+    paths = _viterbi(E, Tr, lengths)  # first: its B x T x H array is freed
+    log_alpha, log_beta, log_z = _forward_backward(E, Tr, lengths)
     results = []
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for b, T in enumerate(lengths):
+        for number, (b, indices) in enumerate(zip(rows, features), start):
+            T = len(indices)
             marginals = np.exp(log_alpha[b, :T] + log_beta[b, :T] - log_z[b]).T
             # exact within float error already; renormalize to pin column sums
             marginals /= marginals.sum(axis=0, keepdims=True)
             if not np.isfinite(marginals).all():
-                raise InputError("posteriors of a melody are not finite: "
-                                 "the model's weights are too large")
+                raise InputError(f"posteriors of melody {number} are not "
+                                 "finite: the model's weights are too large")
             results.append((PredictionMatrix(marginals),
                             StateSequence(tuple(paths[b, :T].tolist()))))
     return results
@@ -435,28 +500,33 @@ def _batch_nll(model: TaggerModel, features: Sequence[np.ndarray],
     sentinel row included, then transition rows, flattened), expected
     minus empirical feature counts are added to it in place, entry by
     entry and position by position, each marginal before the gold count
-    at the same position.
+    at the same position.  Without ``counts`` only the alpha recursion
+    runs: log Z is all the loss reads.
     """
     Tr = model.transition_weights
     F, H = model.emission_weights.shape
-    lengths, E, log_alpha, log_beta, log_z = _crf_pass(model, features)
-    gold = _pad(golds, 0)
+    rows, lengths, E = _crf_pass(model, features)
+    log_alpha, log_z = _forward(E, Tr, lengths)
+    gold = _pad(golds, 0, rows)
     gold_steps = np.take_along_axis(E, gold[:, :, None], axis=2)[:, :, 0]
     gold_steps[:, 1:] += Tr[gold[:, :-1], gold[:, 1:]]
     gold_score = np.cumsum(gold_steps, axis=1)[np.arange(len(golds)),
                                                lengths - 1]
-    for term in log_z - gold_score:
-        loss += term
+    terms = log_z - gold_score
+    for b in rows:
+        loss += terms[b]
     if counts is None:
         return loss
+    with np.errstate(all="ignore"):
+        log_beta = _backward(E, Tr, lengths, _lse_core)
     tags = np.arange(H)
     pairs = (F + 1) * H + np.arange(H * H)
-    for b, (T, rows, g) in enumerate(zip(lengths, features, golds)):
+    for b, indices, g in zip(rows, features, golds):
+        T, K = indices.shape
         unigram = np.exp(log_alpha[b, :T] + log_beta[b, :T] - log_z[b])
-        K = rows.shape[1]
         emission_at = np.concatenate([
-            (rows[:, :, None] * H + tags).reshape(T, K * H),
-            rows * H + g[:, None]], axis=1)
+            (indices[:, :, None] * H + tags).reshape(T, K * H),
+            indices * H + g[:, None]], axis=1)
         emission_add = np.concatenate([
             np.broadcast_to(unigram[:, None, :], (T, K, H)).reshape(T, K * H),
             np.full((T, K), -1.0)], axis=1)
@@ -547,8 +617,10 @@ def train(corpus: TaggedCorpus, config: TrainConfig = TrainConfig(),
     epoch applies the whole penalty exactly once.  Identical corpus,
     config, and seed give bit-identical models.  ``progress`` receives
     (epoch number, epoch loss) after every epoch.  An update that takes
-    a weight out of float range raises InputError: the step size or the
-    L2 penalty is too large for the corpus.
+    a weight out of float range, or a final loss out of it, raises
+    InputError: the step size or the L2 penalty is too large for
+    the corpus.  The final loss is computed without a gradient, in
+    batches of at most ``_BATCH_CELLS`` padded cells.
     """
     if len(corpus) == 0:
         raise InputError("cannot train on an empty corpus")
@@ -564,9 +636,16 @@ def train(corpus: TaggedCorpus, config: TrainConfig = TrainConfig(),
     model = TaggerModel(tagset, vectorizer, emissions, transitions, meta)
     rng = np.random.default_rng(config.seed)
     n_entries = len(corpus.entries)
+
+    def diverged(epoch: int, what: str) -> InputError:
+        return InputError(
+            f"training diverged in epoch {epoch}: the {what} left float "
+            f"range (step_size {config.step_size!r}, l2 {config.l2!r})")
+
     for epoch in range(config.epochs):
         order = rng.permutation(n_entries)
-        epoch_loss = _l2_penalty(model, config.l2)
+        with np.errstate(over="ignore", invalid="ignore"):  # as below
+            epoch_loss = _l2_penalty(model, config.l2)
         for start in range(0, n_entries, config.batch_size):
             chosen = order[start:start + config.batch_size]
             batch_l2 = config.l2 * len(chosen) / n_entries
@@ -579,22 +658,22 @@ def train(corpus: TaggedCorpus, config: TrainConfig = TrainConfig(),
                 flat = (flatten_weights(model)
                         - config.step_size * gradient / tokens)
             if not np.all(np.isfinite(flat)):
-                raise InputError(
-                    f"training diverged in epoch {epoch + 1}: the weights left "
-                    f"float range (step_size {config.step_size!r}, "
-                    f"l2 {config.l2!r})")
+                raise diverged(epoch + 1, "weights")
             emissions, transitions = unflatten_weights(flat, F, H)
             model = replace(model, emission_weights=emissions,
                             transition_weights=transitions)
         if progress is not None:
             progress(epoch + 1, float(epoch_loss))
-    # the final loss in batch-sized chunks keeps peak memory at one batch
+    # the final loss needs no gradient: batches of at most _BATCH_CELLS
+    # padded cells, each entry's term added in entry order
     final_loss = 0.0
-    for start in range(0, n_entries, config.batch_size):
-        final_loss = _batch_nll(model, features[start:start + config.batch_size],
-                                golds[start:start + config.batch_size],
-                                final_loss)
-    final_loss += _l2_penalty(model, config.l2)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for chosen in _batches(range(n_entries), lambda i: len(golds[i])):
+            final_loss = _batch_nll(model, [features[i] for i in chosen],
+                                    [golds[i] for i in chosen], final_loss)
+        final_loss += _l2_penalty(model, config.l2)
+    if not np.isfinite(final_loss):
+        raise diverged(config.epochs, "loss")
     meta = TrainingMeta(epochs=config.epochs, final_loss=float(final_loss),
                         seed=config.seed)
     return replace(model, training_meta=meta)

@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ornatag import cli, combine, tagger
+from ornatag import cli, tagger
 from ornatag.cli import main, parse_config
 from ornatag.errors import InputError
 from ornatag.model_io import load_model, save_model
@@ -926,8 +927,50 @@ class TestWeightsOutOfFloatRange:
                 }[command] + ["--model", str(path)]
         code, stdout, err = run_cli(argv, capsys)
         assert (code, stdout) == (2, "")
-        assert err == (f"error: {path}: posteriors of a melody are not "
+        assert err == (f"error: {path}: posteriors of melody 1 are not "
                        "finite: the model's weights are too large\n")
+        assert not out.exists()
+
+    def test_huge_model_weights_name_the_melody(self, readme_pipeline,
+                                                tmp_path, capsys, monkeypatch):
+        """Four one-note melodies, whose posteriors stay finite, come
+        before a long one that overflows; with a budget of two cells the
+        long one is alone in the third batch, and its number counts
+        every melody before it."""
+        monkeypatch.setattr(tagger, "_BATCH_CELLS", 2)
+        model = load_model(readme_pipeline / "model.txt")
+        path = tmp_path / "huge.model"
+        save_model(replace(model,
+                           emission_weights=model.emission_weights * 1e20,
+                           transition_weights=model.transition_weights * 1e20),
+                   path)
+        melodies = (readme_pipeline / "corpus.txt").read_text().split("\n\n")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("C5:1\tnone\n\nD4:2\tnone\n\nE5:1/2\tnone\n\n"
+                          "C5:1\tnone\n\n" + melodies[0].strip() + "\n")
+        code, stdout, err = run_cli(
+            ["eval", "--model", str(path), "--corpus", str(corpus)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: {path}: posteriors of melody 5 are not "
+                       "finite: the model's weights are too large\n")
+
+    def test_train_whose_loss_leaves_float_range_exits_2(
+            self, readme_pipeline, tmp_path, capsys):
+        """The last update leaves the weights finite but too large for a
+        finite loss: no model, no numpy warning."""
+        out = tmp_path / "model.txt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run_cli(
+                ["train", "--corpus", str(readme_pipeline / "corpus.txt"),
+                 "--tagset", str(readme_pipeline / "tags.txt"),
+                 "--epochs", "1", "--batch", "1000", "--step", "1e200",
+                 "--out", str(out)], capsys)
+        assert [str(w.message) for w in caught] == []
+        assert (code, stdout) == (2, "")
+        assert err.splitlines()[1:] == [
+            "error: training diverged in epoch 1: the loss left float "
+            "range (step_size 1e+200, l2 0.01)"]
         assert not out.exists()
 
 
@@ -1014,7 +1057,7 @@ class TestEvalPipeline:
         corpus_path.write_text(text)
         corpus = parse_corpus(text,
                               parse_tagset((workdir / "tags.txt").read_text()))
-        assert len(corpus) <= combine._BATCH
+        assert len(list(tagger._batches(melody for melody, _ in corpus))) == 1
         contexts = {feature_context(melody, t)
                     for melody, _ in corpus for t in range(len(melody))}
         assert len(contexts) < corpus.token_count

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from ornatag import combine as combine_module
+from ornatag import tagger as tagger_module
 from ornatag.combine import (
     CombinedMatrix,
     combine,
@@ -27,6 +28,7 @@ from ornatag.score import (
 from ornatag.tagger import (
     PredictionMatrix,
     TrainConfig,
+    infer,
     posterior_marginals,
     train,
     viterbi_decode,
@@ -239,12 +241,9 @@ class TestTagCorpus:
                     for length in rng.integers(1, 40, size=n)]
         return model, parse_rules(self.RULES, model.tagset), melodies
 
-    def test_equals_tag_with_knowledge_across_batches(self):
-        n = 2 * combine_module._BATCH + 3
-        model, rules, melodies = self.corpus(n)
-        results = list(tag_corpus(model, rules, iter(melodies)))
-        assert len(results) == n
-        assert sum(len(result.firing_log) for result in results) > n
+    def assert_equals_tag_with_knowledge(self, model, rules, melodies,
+                                         results):
+        assert len(results) == len(melodies)
         for melody, got in zip(melodies, results):
             want = tag_with_knowledge(model, rules, melody)
             assert tuple(got.final) == tuple(want.final)
@@ -253,12 +252,31 @@ class TestTagCorpus:
             for name in ("p1", "p2", "combined"):
                 assert np.array_equal(getattr(got, name).values,
                                       getattr(want, name).values)
+
+    def test_equals_tag_with_knowledge_across_batches(self, monkeypatch):
+        # a budget of 16 melodies of the longest length drawn, so that
+        # 35 melodies make several batches
+        monkeypatch.setattr(tagger_module, "_BATCH_CELLS", 16 * 39)
+        n = 35
+        model, rules, melodies = self.corpus(n)
+        assert len(list(tagger_module._batches(melodies))) >= 3
+        results = list(tag_corpus(model, rules, iter(melodies)))
+        assert sum(len(result.firing_log) for result in results) > n
+        self.assert_equals_tag_with_knowledge(model, rules, melodies, results)
+        for melody, got in zip(melodies, results):
             assert np.array_equal(got.p2.values,
                                   oracles.reference_marginals(model, melody))
             assert tuple(got.base) == oracles.reference_viterbi(model, melody)
 
-    def test_reads_at_most_one_batch_ahead(self):
-        model, rules, melodies = self.corpus(3 * combine_module._BATCH)
+    def test_reads_at_most_one_batch_ahead(self, monkeypatch):
+        """The stream is read one melody past the batch being yielded:
+        the melody that did not fit."""
+        length, per_batch = 10, 4
+        monkeypatch.setattr(tagger_module, "_BATCH_CELLS", per_batch * length)
+        model, rules, _ = self.corpus(0)
+        rng = np.random.default_rng(8)
+        melodies = [oracles.random_melody(rng, length)
+                    for _ in range(3 * per_batch)]
         taken = []
 
         def source():
@@ -268,10 +286,28 @@ class TestTagCorpus:
 
         stream = tag_corpus(model, rules, source())
         next(stream)
-        assert len(taken) == combine_module._BATCH
-        for _ in range(combine_module._BATCH):
+        assert len(taken) == per_batch + 1
+        for _ in range(per_batch):
             next(stream)
-        assert len(taken) == 2 * combine_module._BATCH
+        assert len(taken) == 2 * per_batch + 1
+
+    def test_long_melodies_split_by_the_cell_budget(self, monkeypatch):
+        """With the budget as shipped, a melody of an eighth of it and
+        eight short ones make two batches: the long one fits seven more."""
+        model, rules, _ = self.corpus(0)
+        rng = np.random.default_rng(9)
+        lengths = (tagger_module._BATCH_CELLS // 8, 3, 30, 1, 12, 2, 7, 1, 5)
+        melodies = [oracles.random_melody(rng, n) for n in lengths]
+        batches = []
+
+        def spy(model, batch, start):
+            batches.append((len(batch), start))
+            return infer(model, batch, start)
+
+        monkeypatch.setattr(combine_module, "infer", spy)
+        results = list(tag_corpus(model, rules, melodies))
+        assert batches == [(8, 1), (1, 9)]
+        self.assert_equals_tag_with_knowledge(model, rules, melodies, results)
 
     def test_empty_input_yields_nothing(self):
         model, rules, _ = self.corpus(0)

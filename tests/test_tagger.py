@@ -478,21 +478,24 @@ class TestBatchedInference:
 
 
 class TestBatchedRecursions:
-    """Forward-backward and Viterbi over a batch, finite or not, each
-    entry against its own single-melody references."""
+    """Forward-backward and Viterbi over a batch padded longest first,
+    finite or not, each entry against its own single-melody references."""
 
     @staticmethod
     def assert_matches_references(model, melodies):
         _, features = _compile(melodies, model.vectorizer)
-        lengths = np.array([len(melody) for melody in melodies])
         Tr = model.transition_weights
         with np.errstate(all="ignore"):
-            E = tagger._emissions(model.emission_weights,
-                                  tagger._pad(features, model.num_features))
+            rows, lengths, E = tagger._crf_pass(model, features)
+            assert sorted(rows) == list(range(len(melodies)))
+            assert np.all(lengths[:-1] >= lengths[1:])
             log_alpha, log_beta, log_z = tagger._forward_backward(
                 E, Tr, lengths)
+            alpha_only, z_only = tagger._forward(E, Tr, lengths)
             paths = tagger._viterbi(E, Tr, lengths)
-            for b, (melody, T) in enumerate(zip(melodies, lengths)):
+            for b, melody in zip(rows, melodies):
+                T = len(melody)
+                assert lengths[b] == T
                 E_b = oracles.reference_emissions(
                     model, oracles.reference_indices(model, melody))
                 assert np.array_equal(E[b, :T], E_b, equal_nan=True)
@@ -500,8 +503,30 @@ class TestBatchedRecursions:
                 got = (log_alpha[b, :T], log_beta[b, :T], log_z[b])
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w, equal_nan=True)
+                assert np.array_equal(alpha_only[b, :T], want[0],
+                                      equal_nan=True)
+                assert np.array_equal(z_only[b], want[2], equal_nan=True)
                 assert (tuple(paths[b, :T].tolist())
                         == oracles.reference_viterbi(model, melody))
+
+    @pytest.mark.parametrize("lengths", [
+        (1, 2, 5, 9, 17),
+        (17, 9, 5, 2, 1),
+        (6, 6, 6, 6),
+        (1, 1, 1),
+        (4, 1, 11, 1, 7, 11, 2),
+        (1,),
+        (13,),
+    ], ids=["ascending", "descending", "equal", "all-one", "random",
+            "single-note", "one-melody"])
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    def test_any_length_order_matches_references(self, lengths, scale):
+        """Rows end at different steps whatever order the lengths come
+        in; each live prefix equals the melody computed alone."""
+        rng = np.random.default_rng(len(lengths))
+        melodies = [oracles.random_melody(rng, n) for n in lengths]
+        model = oracles.random_model(rng, melodies[0], h=3, scale=scale)
+        self.assert_matches_references(model, melodies)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_overflowing_emissions_match_references(self, seed):
@@ -610,6 +635,25 @@ class TestNllAndGradient:
                     model, batch, l2)
                 assert loss == ref_loss
                 assert np.array_equal(gradient, ref_gradient)
+
+    @settings(deadline=None, max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1),
+           lengths=st.lists(st.integers(1, 30), min_size=1, max_size=8),
+           h=st.integers(2, 6))
+    def test_loss_only_pass_equals_the_gradient_pass(self, seed, lengths, h):
+        """``_batch_nll`` without counts runs no backward pass, and adds
+        the same terms in the same order."""
+        rng = np.random.default_rng(seed)
+        melodies = [oracles.random_melody(rng, n) for n in lengths]
+        model = oracles.random_model(rng, melodies[0], h)
+        _, features = _compile(melodies, model.vectorizer)
+        golds = [rng.integers(0, h, size=n) for n in lengths]
+        counts = np.zeros((model.num_features + 1) * h + h * h)
+        with_counts = tagger._batch_nll(model, features, golds, 0.5, counts)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delattr(tagger, "_backward")
+            loss_only = tagger._batch_nll(model, features, golds, 0.5)
+        assert loss_only == with_counts
 
     def test_gradient_shape_and_flattening(self):
         melody = melody_from_tokens(["C4:1", "D4:1"])
