@@ -68,8 +68,9 @@ def tag_corpus(model: TaggerModel, rules: RuleSet,
 
     Marginals and base paths come from one batched inference pass per
     batch of melodies, as many as fit in a budget of padded cells
-    (melodies x longest length); the rule pass and fusion then run per
-    melody, each note test evaluated once per distinct note of the call.
+    (melodies x longest length), and the rules fire once per batch,
+    each note test evaluated once per distinct note of the call;
+    fusion then runs per melody.
     Results are yielded one at a time, so a caller that does not keep
     them holds at most one batch, and the input is read at most one
     melody past it.  A ruleset bound to another tag set than the
@@ -83,8 +84,9 @@ def tag_corpus(model: TaggerModel, rules: RuleSet,
     compiled = CompiledRules(rules)
     start = 1
     for batch in _batches(melodies):
-        for melody, (p2, base) in zip(batch, infer(model, batch, start)):
-            firings = compiled.fire(melody, base)
+        inferred = infer(model, batch, start)
+        fired = compiled.fire_batch(batch, [base for _, base in inferred])
+        for (p2, base), firings in zip(inferred, fired):
             p1 = firings.weight_matrix()
             fused = combine(p1, p2)
             final = decode(fused, model.tagset)

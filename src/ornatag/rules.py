@@ -33,10 +33,11 @@ source order, then anchors left to right), so reordering rules changes
 ``p1`` only by floating-point rounding, and not at all when the
 weights are powers of two.
 
-:class:`CompiledRules` evaluates each clause as a boolean mask over the
-positions, note tests once per distinct note value of the call.
-Firings stay arrays (:class:`Firings`); :class:`Firing` records are
-built on demand.
+:class:`CompiledRules` fires a batch of melodies in one pass, each
+clause a boolean mask over the padded grid of melodies by positions,
+note tests once per distinct note value of the call.  Firings stay
+arrays (:class:`Firings`); :class:`Firing` records are built on
+demand.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from itertools import chain
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -59,6 +61,7 @@ from .score import (
     digit_limit,
     exceeds_digit_limit,
     iter_data_lines,
+    last_numbered,
     note_numbers,
 )
 
@@ -455,18 +458,31 @@ class Firings:
         return WeightMatrix(values)
 
 
-def _shift(truth: np.ndarray, offset: int) -> np.ndarray:
-    """``truth[t + offset]`` at each t, False where that is out of range."""
-    T = len(truth)
-    k = T + max(-T, min(T, offset))
-    return np.concatenate([np.zeros(T, bool), truth, np.zeros(T, bool)])[k:k + T]
+def _and_shifted(mask: np.ndarray, truth: np.ndarray, offset: int) -> None:
+    """``mask[..., t] &= truth[..., t + offset]`` at each t, and False where
+    ``t + offset`` is past either end of the last axis; in place, by slices."""
+    T = mask.shape[-1]
+    k = max(-T, min(T, offset))
+    if k == 0:
+        mask &= truth
+    elif k > 0:
+        mask[..., :T - k] &= truth[..., k:]
+        mask[..., T - k:] = False
+    else:
+        mask[..., -k:] &= truth[..., :T + k]
+        mask[..., :-k] = False
 
 
 class CompiledRules:
     """A ruleset's clauses as boolean masks, for the melodies of one call.
 
-    Note tests run exactly, on Python values, once per distinct note of
-    the call; a position literal past the melody's end compares like it.
+    A batch of melodies is fired in one pass over its B x T grid, padded
+    past each melody's end: each rule's antecedent becomes one mask over
+    the grid, the AND of its clauses' masks shifted by their offsets
+    along the positions, and the firings of every melody come out of one
+    ``np.nonzero``.  Padded cells read False.  Note tests run exactly,
+    on Python values, once per distinct note of the call; a position
+    literal past the grid's end compares like it.
     """
 
     def __init__(self, ruleset: RuleSet):
@@ -474,7 +490,10 @@ class CompiledRules:
         clauses = [c for rule in ruleset for c in rule.clauses]
         self._tests = [c for c in clauses if c.feature in _NOTE_ATTRS]
         self._notes: dict = {}
-        self._truth = np.empty((len(self._tests), 0), dtype=bool)
+        # a column per distinct note, numbered as met, then an all-False
+        # column that padding reads (index -1)
+        self._truth = np.zeros((len(self._tests), 1), dtype=bool)
+        self._pred = any(c.feature == "pred" for c in clauses)
         # offsets clipped into int64: a rule fires only where |offset| < T
         self._line, self._tag, self._offset = np.array(
             [(r.source_line, r.consequent_index,
@@ -483,41 +502,66 @@ class CompiledRules:
         self._weight = np.array([ruleset.effective_weight(r) for r in ruleset])
 
     def fire(self, melody: Melody, base: StateSequence) -> Firings:
-        """Every (rule, anchor) whose antecedent holds and target is in range.
+        """:meth:`fire_batch` on one melody."""
+        return self.fire_batch([melody], [base])[0]
+
+    def fire_batch(self, melodies: Sequence[Melody],
+                   bases: Sequence[StateSequence]) -> list[Firings]:
+        """Each melody's firings: every (rule, anchor) whose antecedent
+        holds and whose target is in range, given its base path.
 
         A clause at a position outside the melody is false.  Rules go in
         source order, anchors left to right.
         """
-        T = len(melody)
-        notes = iter(())  # the note tests' truth per position, in order
+        lengths = [len(melody) for melody in melodies]
+        B, T = len(melodies), max(lengths, default=0)
+        inside = np.arange(T) < np.array(lengths)[:, None]
+        notes = iter(())  # the note tests' truth per grid cell, in order
         if self._tests:
-            ids = note_numbers(melody, self._notes)
-            new = list(self._notes)[self._truth.shape[1]:]
-            if new:
-                self._truth = np.hstack([self._truth, np.array(
-                    [[_COMPARE[c.comparator](getattr(note, _NOTE_ATTRS[c.feature]),
-                                             c.value) for note in new]
-                     for c in self._tests], dtype=bool)])
-            notes = iter(self._truth[:, ids])
-        pred = np.array(base.tags)
-        anchors = []
-        for rule in self.ruleset:
-            mask = _shift(np.ones(T, dtype=bool), rule.consequent_offset)
+            seen = len(self._notes)
+            numbers = note_numbers(chain.from_iterable(melodies), self._notes)
+            if len(self._notes) > seen:
+                new = last_numbered(self._notes, len(self._notes) - seen)
+                rows = [[_COMPARE[c.comparator](
+                    getattr(note, _NOTE_ATTRS[c.feature]), c.value)
+                    for note in new] + [False] for c in self._tests]
+                self._truth = np.concatenate(
+                    [self._truth[:, :-1], np.array(rows, dtype=bool)], axis=1)
+            ids = np.full((B, T), -1)
+            ids[inside] = numbers
+            notes = (row.take(ids) for row in self._truth)
+        if self._pred:
+            pred = np.zeros((B, T), dtype=int)
+            pred[inside] = np.concatenate([np.zeros(0, dtype=int),
+                                           *(base.tags for base in bases)])
+        targets = {}  # consequent offset -> anchors whose target is inside
+        # melody, then rule, then anchor: each melody's firings are a slice
+        masks = np.empty((B, len(self.ruleset), T), dtype=bool)
+        for r, rule in enumerate(self.ruleset):
+            mask = masks[:, r]
+            offset = rule.consequent_offset
+            if offset not in targets:
+                targets[offset] = inside.copy()
+                _and_shifted(targets[offset], inside, offset)
+            np.copyto(mask, targets[offset])
             for clause in rule.clauses:
                 compare = _COMPARE[clause.comparator]
                 if clause.feature == "pred":
-                    truth = compare(pred, clause.value)
+                    truth = compare(pred, clause.value) & inside
                 elif clause.feature == "position":
-                    truth = compare(np.arange(T), min(clause.value, T))
+                    value = min(clause.value, T)
+                    truth = compare(np.arange(T), value) & inside
                 else:
                     truth = next(notes)
-                mask &= _shift(truth, clause.offset)
-            anchors.append(np.flatnonzero(mask))
-        which = np.repeat(np.arange(len(anchors)), list(map(len, anchors)))
-        anchor = np.concatenate([np.zeros(0, dtype=int), *anchors])
-        return Firings(self.ruleset.tagset, T, self._line[which], anchor,
-                       anchor + self._offset[which], self._tag[which],
-                       self._weight[which])
+                _and_shifted(mask, truth, clause.offset)
+        melody_at, rule_at, anchor = np.nonzero(masks)
+        line, tag = self._line[rule_at], self._tag[rule_at]
+        target = anchor + self._offset[rule_at]
+        weight = self._weight[rule_at]
+        bounds = melody_at.searchsorted(range(B + 1)).tolist()
+        return [Firings(self.ruleset.tagset, length, line[i:j], anchor[i:j],
+                        target[i:j], tag[i:j], weight[i:j])
+                for length, i, j in zip(lengths, bounds, bounds[1:])]
 
 
 def collect_firings(ruleset: RuleSet, melody: Melody,

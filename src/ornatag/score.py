@@ -22,7 +22,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -99,10 +100,16 @@ class Melody:
         return self.notes[t]
 
 
-def note_numbers(melody: Melody, numbers: dict[Note, int]) -> np.ndarray:
+def note_numbers(notes: Iterable[Note],
+                 numbers: dict[Note, int]) -> np.ndarray:
     """Each note's number in ``numbers``, new values numbered as met."""
-    return np.array([numbers.setdefault(note, len(numbers))
-                     for note in melody])
+    return np.array([numbers.setdefault(note, len(numbers)) for note in notes],
+                    dtype=int)
+
+
+def last_numbered(numbers: dict[Note, int], count: int) -> list[Note]:
+    """The ``count`` notes numbered last in ``numbers``, in number order."""
+    return list(islice(reversed(numbers), count))[::-1]
 
 
 @dataclass(frozen=True)
@@ -155,8 +162,8 @@ class StateSequence:
     tags: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tags", tuple(int(t) for t in self.tags))
-        if any(t < 0 for t in self.tags):
+        object.__setattr__(self, "tags", tuple(map(int, self.tags)))
+        if min(self.tags, default=0) < 0:
             raise ValueError("tag indices must be nonnegative")
 
     def __len__(self) -> int:
@@ -183,7 +190,7 @@ class TaggedCorpus:
             if len(melody) != len(states):
                 raise InputError(
                     f"melody length {len(melody)} != state length {len(states)}")
-            if any(not 0 <= s < h for s in states):
+            if min(states, default=0) < 0 or max(states, default=0) >= h:
                 raise InputError("state index outside the bound tag set")
 
     def __len__(self) -> int:
@@ -347,15 +354,18 @@ def iter_data_lines(text: str) -> Iterator[tuple[int, str, bool]]:
     """Yield (1-based line number, data text, is_blank) per line.
 
     Comment-only lines are dropped entirely.  ``is_blank`` marks lines
-    that were empty before comment stripping.
+    that were empty before comment stripping.  Only a line with a '#' is
+    searched for a comment.
     """
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        if raw.strip() == "":
+        data = raw.strip()
+        if data == "":
             yield lineno, "", True
             continue
-        data = _COMMENT_RE.split(raw, 1)[0].strip()
-        if data == "":
-            continue
+        if "#" in data:
+            data = _COMMENT_RE.split(raw, 1)[0].strip()
+            if data == "":
+                continue
         yield lineno, data, False
 
 
@@ -398,13 +408,14 @@ def _parse_located_note(token: str, lineno: int,
                         interned: dict[str, Note]) -> Note:
     """:func:`parse_note` once per token string of one parse (notes are
     frozen, so shared), with any error located at line ``lineno``."""
-    if token not in interned:
+    note = interned.get(token)
+    if note is None:
         try:
-            interned[token] = parse_note(token)
+            note = interned[token] = parse_note(token)
         except InputError as err:
             err.line = lineno
             raise
-    return interned[token]
+    return note
 
 
 def serialize_melody(melody: Melody) -> str:
@@ -437,10 +448,11 @@ def parse_corpus(text: str, tagset: TagSet) -> TaggedCorpus:
                 f"expected 'note<TAB>tag', got {data!r}", line=lineno)
         token, tag = fields
         note = _parse_located_note(token, lineno, interned)
-        if tag not in tagset:
+        index = tagset._index.get(tag)
+        if index is None:
             raise InputError(f"unknown tag {tag!r}", token=tag, line=lineno)
         notes.append(note)
-        states.append(tagset.index(tag))
+        states.append(index)
     flush()
     if not entries:
         raise InputError("corpus file contains no entries")

@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import InputError, ShapeMismatch
 from .score import (Melody, StateSequence, TaggedCorpus, TagMatrix, TagSet,
-                    note_numbers)
+                    last_numbered, note_numbers)
 
 # (numerator, denominator, label) of each bucket's inclusive upper bound
 _DURATION_BUCKETS = (
@@ -195,11 +195,11 @@ class PredictionMatrix(TagMatrix):
     """Posterior marginals p2: entries in [0, 1], columns summing to 1."""
 
     def _check(self, values: np.ndarray) -> None:
+        sums = values.sum(axis=0)
+        if not (np.abs(sums - 1.0) <= 1e-9).all():  # NaN and inf fail too
+            raise ValueError(f"columns must sum to 1 within 1e-9: {sums}")
         if np.any(values < 0) or np.any(values > 1):
             raise ValueError("entries must lie in [0, 1]")
-        sums = values.sum(axis=0)
-        if not np.allclose(sums, 1.0, rtol=0, atol=1e-9):
-            raise ValueError(f"columns must sum to 1 within 1e-9: {sums}")
 
 
 def _compile(melodies: Iterable[Melody],
@@ -218,14 +218,19 @@ def _compile(melodies: Iterable[Melody],
     learned: dict[str, int] = {}
     index = learned.get if vectorizer is None else vectorizer.index
     notes: dict = {}
-    midi: list[int] = []
+    midi = np.empty(0, dtype=int)  # by note number, grown by doubling
     rows: dict[int, int] = {}  # context key -> row number
     indices: list[list[int | None]] = []  # per row
     numbers = []
     for melody in melodies:
+        seen = len(notes)
         ids = note_numbers(melody, notes)
-        midi += [note.midi for note in list(notes)[len(midi):]]
-        pitch = np.array(midi)[ids]
+        if len(notes) > seen:
+            if len(notes) > len(midi):
+                midi = np.concatenate([midi, np.empty(len(notes), dtype=int)])
+            midi[seen:len(notes)] = [
+                note.midi for note in last_numbered(notes, len(notes) - seen)]
+        pitch = midi[ids]
         sign = np.sign(pitch[1:] - pitch[:-1]) + 1
         edge = [3]  # BOS before the first note, EOS after the last
         keys = (ids * 16 + np.concatenate([edge, sign]) * 4

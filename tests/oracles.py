@@ -8,6 +8,7 @@ thousand), which is the point.
 
 import itertools
 import operator
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -275,6 +276,19 @@ def reference_firings(ruleset, melody, base):
                     tag=rule.consequent_tag, tag_index=rule.consequent_index,
                     weight=ruleset.effective_weight(rule)))
     return firings
+
+
+def reference_data_lines(text):
+    """``score.iter_data_lines`` as one comment regex split per line."""
+    lines = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        if raw.strip() == "":
+            lines.append((lineno, "", True))
+            continue
+        data = re.split(r"(?:^|(?<=\s))#", raw, maxsplit=1)[0].strip()
+        if data:
+            lines.append((lineno, data, False))
+    return lines
 
 
 def central_difference_gradient(fn, w, step=1e-5):

@@ -126,6 +126,25 @@ class TestMatrixInvariants:
                 cls(values)
 
 
+class TestPredictionColumnSums:
+    """A p2 column must sum to 1 within 1e-9; non-finite sums fail."""
+
+    @pytest.mark.parametrize("column", [
+        [0.5, 0.5 + 2e-9], [0.5, 0.5 - 2e-9], [np.inf, 0.0]],
+        ids=["over", "under", "inf"])
+    def test_rejected(self, column):
+        with pytest.raises(ValueError, match="sum to 1"):
+            PredictionMatrix(np.array([column]).T)
+
+    def test_a_nan_sum_is_rejected(self):
+        with np.errstate(invalid="ignore"):  # inf - inf in the sum
+            with pytest.raises(ValueError, match="sum to 1"):
+                PredictionMatrix(np.array([[np.inf], [-np.inf]]))
+
+    def test_within_the_tolerance_is_accepted(self):
+        PredictionMatrix(np.array([[0.5, 0.5 + 5e-10], [0.5, 0.5 - 5e-10]]).T)
+
+
 class TestFusedMatrix:
     """What combine() may hand to decode()."""
 

@@ -667,6 +667,66 @@ class TestCollectFirings:
                 == reference_firings(ruleset, melody, base))
 
 
+# near offsets read the padding of a batch's shorter melodies; far ones
+# pass every melody's length
+_FAR_OFFSETS = st.one_of(st.integers(-2, 2), st.integers(-9, 9))
+
+
+@st.composite
+def far_clause(draw):
+    """A clause whose offset may pass every melody's length, a position
+    literal that may pass the grid's width, or a ``pred`` test."""
+    feature = draw(st.sampled_from(["position", "pred", "duration", "step"]))
+    offset = _posref(draw(_FAR_OFFSETS))
+    if feature == "position":
+        cmp = draw(st.sampled_from([">", "<", ">=", "<=", "==", "!="]))
+        return f"position({offset}) {cmp} {draw(st.integers(0, 12))}"
+    cmp = draw(st.sampled_from(["==", "!="]))
+    return f"{feature}({offset}) {cmp} {draw(_LITERALS[feature])}"
+
+
+@st.composite
+def far_rule_lines(draw):
+    clauses = draw(st.lists(st.one_of(far_clause(), random_clause()),
+                            min_size=1, max_size=3))
+    tag = draw(st.sampled_from(TAGS.tags))
+    c_ref = _posref(draw(_FAR_OFFSETS))
+    return f"IF {' AND '.join(clauses)} THEN tag({c_ref}) = {tag} WEIGHT 2"
+
+
+class TestFireBatch:
+    """One pass over a padded batch against the per-anchor reference."""
+
+    # the 1-note melody after a longer one: a clause past its end reads
+    # padding, and so does an anchor past its end whose target is inside
+    @example(["IF pred(@t+1) != trills THEN tag(@t) = none WEIGHT 2"],
+             [(melody_from_tokens(["C1:4"] * 3), StateSequence((0, 0, 0)))], 1)
+    @example(["IF step(@t-1) == G THEN tag(@t-1) = none WEIGHT 2"],
+             [(melody_from_tokens(["C1:4"] * 3), StateSequence((0, 0, 0)))], 1)
+    @given(st.lists(far_rule_lines(), max_size=6),
+           st.lists(melody_and_base(), min_size=1, max_size=5),
+           st.integers(0, 5))
+    def test_each_melody_matches_reference_firings(self, lines, batch, at):
+        one_note = (melody_from_tokens(["G2:3"]), StateSequence((2,)))
+        batch.insert(min(at, len(batch)), one_note)
+        ruleset = parse_rules("".join(f"{l}\n" for l in lines), TAGS)
+        melodies = [melody for melody, _ in batch]
+        bases = [base for _, base in batch]
+        fired = CompiledRules(ruleset).fire_batch(melodies, bases)
+        assert len(fired) == len(batch)
+        for firings, melody, base in zip(fired, melodies, bases):
+            assert firings.length == len(melody)
+            assert (firings.records()
+                    == reference_firings(ruleset, melody, base))
+
+    def test_empty_ruleset_fires_nothing(self):
+        melodies = [melody_from_tokens(["C4:1"] * n) for n in (3, 1, 5)]
+        bases = [StateSequence((0,) * len(m)) for m in melodies]
+        fired = CompiledRules(RuleSet(TAGS, ())).fire_batch(melodies, bases)
+        assert [(f.length, f.records()) for f in fired] == [
+            (3, []), (1, []), (5, [])]
+
+
 class TestOrderIndependence:
     """Permuting rule order changes the weight matrix only by rounding."""
 

@@ -5,9 +5,11 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from oracles import reference_data_lines
 from ornatag.errors import InputError
 from ornatag.score import (
     Melody,
@@ -17,6 +19,7 @@ from ornatag.score import (
     TagSet,
     digit_limit,
     exceeds_digit_limit,
+    iter_data_lines,
     parse_corpus,
     parse_melody,
     parse_note,
@@ -420,6 +423,15 @@ class TestStructuralInvariants:
                            match="state index outside the bound tag set"):
             TaggedCorpus(ts, ((melody, StateSequence((5,))),))
 
+    def test_state_sequence_rejects_a_negative_tag(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            StateSequence((0, 2, -1))
+
+    def test_state_sequence_takes_numpy_integers_as_ints(self):
+        states = StateSequence((np.int64(2), np.int32(0), 1))
+        assert states.tags == (2, 0, 1)
+        assert all(type(tag) is int for tag in states)
+
     def test_empty_corpus_object_is_allowed(self):
         # a generator may return zero entries; consumers raise on use
         ts = TagSet(("none", "trills"))
@@ -436,6 +448,13 @@ _TAGS = TagSet(("none", "trills"))
 # first check, and arbitrary text
 _NEAR = "ABCDEFGHbcx#:/0129 \t\n"
 _TEXTS = st.one_of(st.text(), st.text(alphabet=_NEAR))
+# line texts over comment marks, the whitespace that str.strip and \s
+# know (vertical tab, file separator, ideographic space) and sharp tokens
+_LINE_PIECES = ("#", "\t", " ", "\n", "\x0b", "\x1c", "\u3000", "C#4:1",
+                "F##5:2", "D4:1/2", "none")
+_LINE_TEXTS = st.lists(st.sampled_from(_LINE_PIECES)).map("".join)
+# ... and without a bare '#', so without a comment
+_PLAIN_TEXTS = st.lists(st.sampled_from(_LINE_PIECES[1:])).map("".join)
 _PARSERS = (parse_note, parse_melody, lambda text: parse_corpus(text, _TAGS),
             parse_tagset)
 
@@ -489,6 +508,12 @@ class TestParserFuzz:
         assert melody == corpus.entries[0][0]
         assert len({id(note) for note in melody}) == len(
             {token for token, _ in blocks[0]})
+
+    @given(st.one_of(_LINE_TEXTS, _PLAIN_TEXTS))
+    def test_data_lines_equal_one_comment_split_per_line(self, text):
+        """Only lines with a '#' are split; every line reads as a comment
+        split per line reads it."""
+        assert list(iter_data_lines(text)) == reference_data_lines(text)
 
     @given(st.sampled_from(_BAD),
            st.lists(st.one_of(st.sampled_from(_GOOD), st.none()),

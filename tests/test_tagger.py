@@ -1,6 +1,7 @@
 """CRF feature extraction, inference, training, and model file format."""
 
 import math
+import time
 import zlib
 from dataclasses import replace
 from fractions import Fraction
@@ -25,6 +26,7 @@ from ornatag.score import (
     StateSequence,
     TaggedCorpus,
     TagSet,
+    last_numbered,
     note_numbers,
     parse_note,
 )
@@ -257,6 +259,31 @@ class TestCompiledFeatures:
         assert vectorizer.feature_names == reference.feature_names
         for melody, got in list(zip(melodies, rows))[::37]:
             np.testing.assert_array_equal(got, expected_rows(reference, melody))
+
+
+    def test_fresh_notes_compile_in_linear_time(self, monkeypatch):
+        """Each melody's new notes are read as they are numbered, not by
+        walking every distinct note met so far: the notes read add up to
+        the distinct notes.  2,000 melodies of 32 notes with random
+        durations, nearly every note new, compile in about 0.6 s on a
+        2-core VM; the walk took about 5 s."""
+        rng = np.random.default_rng(0)
+        melodies = [Melody(tuple(
+            Note("CDEFGAB"[step], 0, int(octave), Fraction(int(num), 64))
+            for step, octave, num in zip(rng.integers(0, 7, 32),
+                                         rng.integers(2, 6, 32),
+                                         rng.integers(1, 10**6, 32))))
+            for _ in range(2000)]
+        read = []
+        monkeypatch.setattr(tagger, "last_numbered", lambda numbers, count: (
+            read.append(count) or last_numbered(numbers, count)))
+        started = time.perf_counter()
+        _, rows = _compile(melodies)
+        elapsed = time.perf_counter() - started
+        assert sum(read) == len({note for melody in melodies
+                                 for note in melody})
+        assert elapsed < 2.5
+        assert [len(row) for row in rows] == [32] * 2000
 
 
 class TestPosteriorMarginals:
