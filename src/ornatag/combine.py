@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ShapeMismatch
-from .rules import CompiledRules, Firing, Firings, RuleSet, WeightMatrix
+from .rules import Firing, Firings, RuleSet, WeightMatrix, fire_batch
 from .score import Melody, StateSequence, TagMatrix, TagSet
 from .tagger import PredictionMatrix, TaggerModel, _batches, infer
 
@@ -68,9 +68,9 @@ def tag_corpus(model: TaggerModel, rules: RuleSet,
 
     Marginals and base paths come from one batched inference pass per
     batch of melodies, as many as fit in a budget of padded cells
-    (melodies x longest length), and the rules fire once per batch,
-    each note test evaluated once per distinct note of the call;
-    fusion then runs per melody.
+    (melodies x longest length), and the rules fire once per batch
+    (:func:`~ornatag.rules.fire_batch`), each note test evaluated once
+    per distinct note of the batch; fusion then runs per melody.
     Results are yielded one at a time, so a caller that does not keep
     them holds at most one batch, and the input is read at most one
     melody past it.  A ruleset bound to another tag set than the
@@ -81,11 +81,10 @@ def tag_corpus(model: TaggerModel, rules: RuleSet,
     if rules.tagset != model.tagset:
         raise ShapeMismatch("ruleset is bound to a different tag set "
                             "than the model")
-    compiled = CompiledRules(rules)
     start = 1
     for batch in _batches(melodies):
         inferred = infer(model, batch, start)
-        fired = compiled.fire_batch(batch, [base for _, base in inferred])
+        fired = fire_batch(rules, batch, [base for _, base in inferred])
         for (p2, base), firings in zip(inferred, fired):
             p1 = firings.weight_matrix()
             fused = combine(p1, p2)

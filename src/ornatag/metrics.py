@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .rules import CompiledRules, Firings, RuleSet
+from .rules import Firings, RuleSet, fire
 from .score import Melody, StateSequence, TaggedCorpus, TagSet
 
 
@@ -83,7 +83,7 @@ def count_satisfied(pred: StateSequence, firings: Firings) -> tuple[int, int]:
 def rule_firing_counts(pred: StateSequence, melody: Melody, rules: RuleSet,
                        base: StateSequence) -> tuple[int, int]:
     """:func:`count_satisfied` over the firings of ``rules`` on one melody."""
-    return count_satisfied(pred, CompiledRules(rules).fire(melody, base))
+    return count_satisfied(pred, fire(rules, melody, base))
 
 
 def format_metrics(metrics: Metrics, tagset: TagSet) -> str:

@@ -33,10 +33,11 @@ source order, then anchors left to right), so reordering rules changes
 ``p1`` only by floating-point rounding, and not at all when the
 weights are powers of two.
 
-:class:`CompiledRules` fires a batch of melodies in one pass, each
-clause a boolean mask over the padded grid of melodies by positions,
-note tests once per distinct note value of the call.  Firings stay
-arrays (:class:`Firings`); :class:`Firing` records are built on
+:func:`fire_batch` fires a batch of melodies in one pass, each clause
+a boolean mask over the padded grid of melodies by positions.  Each
+call numbers the notes of its batch and runs each note test once per
+distinct note; nothing is kept from one call to the next.  Firings
+stay arrays (:class:`Firings`); :class:`Firing` records are built on
 demand.
 """
 
@@ -47,7 +48,6 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Sequence, Union
 
 import numpy as np
@@ -61,8 +61,7 @@ from .score import (
     digit_limit,
     exceeds_digit_limit,
     iter_data_lines,
-    last_numbered,
-    note_numbers,
+    number_notes,
 )
 
 FEATURES = ("duration", "midi", "octave", "step", "position", "pred")
@@ -473,105 +472,85 @@ def _and_shifted(mask: np.ndarray, truth: np.ndarray, offset: int) -> None:
         mask[..., :-k] = False
 
 
-class CompiledRules:
-    """A ruleset's clauses as boolean masks, for the melodies of one call.
+def fire_batch(ruleset: RuleSet, melodies: Sequence[Melody],
+               bases: Sequence[StateSequence]) -> list[Firings]:
+    """Each melody's firings: every (rule, anchor) whose antecedent holds
+    and whose target is in range, given its base path.
 
-    A batch of melodies is fired in one pass over its B x T grid, padded
-    past each melody's end: each rule's antecedent becomes one mask over
-    the grid, the AND of its clauses' masks shifted by their offsets
-    along the positions, and the firings of every melody come out of one
-    ``np.nonzero``.  Padded cells read False.  Note tests run exactly,
-    on Python values, once per distinct note of the call; a position
-    literal past the grid's end compares like it.
+    One pass over the batch's B x T grid, padded past each melody's end:
+    each rule's antecedent is one mask over the grid, the AND of its
+    clauses' masks shifted by their offsets, and every melody's firings
+    come out of one ``np.nonzero``.  A clause outside the melody is
+    false.  Note tests run exactly, on Python values, once per distinct
+    note of the batch.  Rules go in source order, anchors left to right.
     """
+    if not melodies:
+        return []
+    lengths = [len(melody) for melody in melodies]
+    B, T = len(melodies), max(lengths)
+    inside = np.arange(T) < np.array(lengths)[:, None]
+    clauses = [c for rule in ruleset for c in rule.clauses]
+    tests = [c for c in clauses if c.feature in _NOTE_ATTRS]
+    notes = iter(())  # the note tests' truth per grid cell, in order
+    if tests:
+        distinct, ids = number_notes(melodies)
+        # a column per distinct note, then an all-False one for padding
+        table = np.array([[_COMPARE[c.comparator](
+            getattr(note, _NOTE_ATTRS[c.feature]), c.value)
+            for note in distinct] + [False] for c in tests], dtype=bool)
+        grid = np.full((B, T), -1)
+        grid[inside] = np.concatenate(ids)
+        notes = (row.take(grid) for row in table)
+    if any(c.feature == "pred" for c in clauses):
+        pred = np.zeros((B, T), dtype=int)
+        pred[inside] = np.concatenate([base.tags for base in bases])
+    # offsets clipped into int64: a rule fires only where |offset| < T
+    line, tag, offset = np.array(
+        [(r.source_line, r.consequent_index,
+          max(-2**62, min(2**62, r.consequent_offset))) for r in ruleset],
+        dtype=int).reshape(-1, 3).T
+    weight = np.array([ruleset.effective_weight(r) for r in ruleset])
+    targets = {}  # consequent offset -> anchors whose target is inside
+    # melody, then rule, then anchor: each melody's firings are a slice
+    masks = np.empty((B, len(ruleset), T), dtype=bool)
+    for r, rule in enumerate(ruleset):
+        mask = masks[:, r]
+        consequent = rule.consequent_offset
+        if consequent not in targets:
+            targets[consequent] = inside.copy()
+            _and_shifted(targets[consequent], inside, consequent)
+        np.copyto(mask, targets[consequent])
+        for clause in rule.clauses:
+            compare = _COMPARE[clause.comparator]
+            if clause.feature == "pred":
+                truth = compare(pred, clause.value) & inside
+            elif clause.feature == "position":
+                truth = compare(np.arange(T), min(clause.value, T)) & inside
+            else:
+                truth = next(notes)
+            _and_shifted(mask, truth, clause.offset)
+    melody_at, rule_at, anchor = np.nonzero(masks)
+    target = anchor + offset[rule_at]
+    line, tag, weight = line[rule_at], tag[rule_at], weight[rule_at]
+    bounds = melody_at.searchsorted(range(B + 1)).tolist()
+    return [Firings(ruleset.tagset, length, line[i:j], anchor[i:j],
+                    target[i:j], tag[i:j], weight[i:j])
+            for length, i, j in zip(lengths, bounds, bounds[1:])]
 
-    def __init__(self, ruleset: RuleSet):
-        self.ruleset = ruleset
-        clauses = [c for rule in ruleset for c in rule.clauses]
-        self._tests = [c for c in clauses if c.feature in _NOTE_ATTRS]
-        self._notes: dict = {}
-        # a column per distinct note, numbered as met, then an all-False
-        # column that padding reads (index -1)
-        self._truth = np.zeros((len(self._tests), 1), dtype=bool)
-        self._pred = any(c.feature == "pred" for c in clauses)
-        # offsets clipped into int64: a rule fires only where |offset| < T
-        self._line, self._tag, self._offset = np.array(
-            [(r.source_line, r.consequent_index,
-              max(-2**62, min(2**62, r.consequent_offset))) for r in ruleset],
-            dtype=int).reshape(-1, 3).T
-        self._weight = np.array([ruleset.effective_weight(r) for r in ruleset])
 
-    def fire(self, melody: Melody, base: StateSequence) -> Firings:
-        """:meth:`fire_batch` on one melody."""
-        return self.fire_batch([melody], [base])[0]
-
-    def fire_batch(self, melodies: Sequence[Melody],
-                   bases: Sequence[StateSequence]) -> list[Firings]:
-        """Each melody's firings: every (rule, anchor) whose antecedent
-        holds and whose target is in range, given its base path.
-
-        A clause at a position outside the melody is false.  Rules go in
-        source order, anchors left to right.
-        """
-        lengths = [len(melody) for melody in melodies]
-        B, T = len(melodies), max(lengths, default=0)
-        inside = np.arange(T) < np.array(lengths)[:, None]
-        notes = iter(())  # the note tests' truth per grid cell, in order
-        if self._tests:
-            seen = len(self._notes)
-            numbers = note_numbers(chain.from_iterable(melodies), self._notes)
-            if len(self._notes) > seen:
-                new = last_numbered(self._notes, len(self._notes) - seen)
-                rows = [[_COMPARE[c.comparator](
-                    getattr(note, _NOTE_ATTRS[c.feature]), c.value)
-                    for note in new] + [False] for c in self._tests]
-                self._truth = np.concatenate(
-                    [self._truth[:, :-1], np.array(rows, dtype=bool)], axis=1)
-            ids = np.full((B, T), -1)
-            ids[inside] = numbers
-            notes = (row.take(ids) for row in self._truth)
-        if self._pred:
-            pred = np.zeros((B, T), dtype=int)
-            pred[inside] = np.concatenate([np.zeros(0, dtype=int),
-                                           *(base.tags for base in bases)])
-        targets = {}  # consequent offset -> anchors whose target is inside
-        # melody, then rule, then anchor: each melody's firings are a slice
-        masks = np.empty((B, len(self.ruleset), T), dtype=bool)
-        for r, rule in enumerate(self.ruleset):
-            mask = masks[:, r]
-            offset = rule.consequent_offset
-            if offset not in targets:
-                targets[offset] = inside.copy()
-                _and_shifted(targets[offset], inside, offset)
-            np.copyto(mask, targets[offset])
-            for clause in rule.clauses:
-                compare = _COMPARE[clause.comparator]
-                if clause.feature == "pred":
-                    truth = compare(pred, clause.value) & inside
-                elif clause.feature == "position":
-                    value = min(clause.value, T)
-                    truth = compare(np.arange(T), value) & inside
-                else:
-                    truth = next(notes)
-                _and_shifted(mask, truth, clause.offset)
-        melody_at, rule_at, anchor = np.nonzero(masks)
-        line, tag = self._line[rule_at], self._tag[rule_at]
-        target = anchor + self._offset[rule_at]
-        weight = self._weight[rule_at]
-        bounds = melody_at.searchsorted(range(B + 1)).tolist()
-        return [Firings(self.ruleset.tagset, length, line[i:j], anchor[i:j],
-                        target[i:j], tag[i:j], weight[i:j])
-                for length, i, j in zip(lengths, bounds, bounds[1:])]
+def fire(ruleset: RuleSet, melody: Melody, base: StateSequence) -> Firings:
+    """:func:`fire_batch` on one melody."""
+    return fire_batch(ruleset, [melody], [base])[0]
 
 
 def collect_firings(ruleset: RuleSet, melody: Melody,
                     base: StateSequence) -> list[Firing]:
-    """:meth:`CompiledRules.fire` on one melody, as Firing records."""
-    return CompiledRules(ruleset).fire(melody, base).records()
+    """:func:`fire` on one melody, as Firing records."""
+    return fire(ruleset, melody, base).records()
 
 
 def build_weight_matrix(ruleset: RuleSet, melody: Melody,
                         base: StateSequence) -> WeightMatrix:
     """p1 of the firings on one melody, each cell multiplied in firing
     order; rule order changes it only by rounding."""
-    return CompiledRules(ruleset).fire(melody, base).weight_matrix()
+    return fire(ruleset, melody, base).weight_matrix()

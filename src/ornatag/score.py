@@ -11,9 +11,9 @@ digit 0-9, and duration ``int`` or ``int/int``.
 
 All types are immutable after construction and safe to share across
 threads; the parsers and serializers are pure functions.  A note
-hashes its value once, so the per-call tables of :func:`note_numbers`
-number notes by value: equal notes share a number, whether parsed,
-interned or built fresh.
+hashes its value once, so :func:`number_notes` numbers a call's notes
+by value: equal notes share a number, whether parsed, interned or built
+fresh.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -100,16 +99,14 @@ class Melody:
         return self.notes[t]
 
 
-def note_numbers(notes: Iterable[Note],
-                 numbers: dict[Note, int]) -> np.ndarray:
-    """Each note's number in ``numbers``, new values numbered as met."""
-    return np.array([numbers.setdefault(note, len(numbers)) for note in notes],
-                    dtype=int)
-
-
-def last_numbered(numbers: dict[Note, int], count: int) -> list[Note]:
-    """The ``count`` notes numbered last in ``numbers``, in number order."""
-    return list(islice(reversed(numbers), count))[::-1]
+def number_notes(melodies: Iterable[Melody]
+                 ) -> tuple[list[Note], list[np.ndarray]]:
+    """The distinct notes of ``melodies`` as first met, and each melody's
+    notes as their numbers in that list."""
+    numbers: dict[Note, int] = {}
+    ids = [np.array([numbers.setdefault(note, len(numbers)) for note in melody],
+                    dtype=int) for melody in melodies]
+    return list(numbers), ids
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .rules import CompiledRules, RuleSet, parse_rules
+from .rules import RuleSet, fire, parse_number, parse_rules
 from .score import (
     Melody,
     Note,
@@ -41,6 +41,9 @@ DEFAULT_DURATION_POOL = (
     (Fraction(2), 0.15),
     (Fraction(4), 0.05),
 )
+
+# the longest melody a profile may ask for: a few seconds to generate
+_MAX_LENGTH = 100_000
 
 # sharp spellings for the 12 semitones
 _SEMITONE_TO_STEP = (
@@ -115,10 +118,10 @@ class SynthProfile:
                 raise InputError(
                     "emission_bias multipliers must be finite and nonnegative")
         length_lo, length_hi = self.melody_length_range
-        if not 1 <= length_lo <= length_hi < 2 ** 63:
+        if not 1 <= length_lo <= length_hi <= _MAX_LENGTH:
             raise InputError(
                 f"bad melody_length_range [{length_lo}, {length_hi}]: "
-                f"needs 1 <= low <= high < 2**63")
+                f"needs 1 <= low <= high <= {_MAX_LENGTH}")
         if self.planted_rules is not None:
             if self.planted_rules.tagset != self.tagset:
                 raise InputError(
@@ -153,8 +156,6 @@ def generate_synthetic(profile: SynthProfile, n_melodies: int,
     length_lo, length_hi = profile.melody_length_range
     durations = [d for d, _ in profile.duration_pool]
     probs_by_tag = {tag: _duration_probs(profile, tag) for tag in tagset}
-    planted = (None if profile.planted_rules is None
-               else CompiledRules(profile.planted_rules))
     entries = []
     for i in range(n_melodies):
         rng = np.random.default_rng([seed, i])
@@ -172,9 +173,10 @@ def generate_synthetic(profile: SynthProfile, n_melodies: int,
                 len(durations), p=probs_by_tag[tagset.name(tag)]))]
             notes.append(note_from_midi(midi, duration))
         melody = Melody(tuple(notes))
-        if planted is not None:
+        if profile.planted_rules is not None:
             # in firing order, so the last firing on a cell wins
-            firings = planted.fire(melody, StateSequence((0,) * length))
+            firings = fire(profile.planted_rules, melody,
+                           StateSequence((0,) * length))
             for t, tag in zip(firings.target.tolist(),
                               firings.tag_index.tolist()):
                 tags[t] = tag
@@ -224,6 +226,10 @@ def parse_profile(text: str) -> SynthProfile:
           "planted_rules": ["IF duration(@t) > 3 THEN tag(@t) = trills"],
           "melody_length_range": [8, 64]
         }
+
+    ``duration_pool`` keys are numbers of the rule grammar
+    (:func:`~ornatag.rules.parse_number`); a melody has at most 100,000
+    notes.
     """
     try:
         raw = json.loads(text, parse_int=_json_int)
@@ -250,9 +256,18 @@ def parse_profile(text: str) -> SynthProfile:
         pool = raw["duration_pool"]
         if not isinstance(pool, dict):
             raise InputError("duration_pool must be an object")
+        durations = []
+        for key in pool:
+            try:
+                durations.append(parse_number(key))
+            except ValueError:
+                shown = key if len(key) <= 40 else f"{key[:40]}..."
+                raise InputError(
+                    f"bad duration_pool key {shown!r}: expected INT, "
+                    f"INT/INT or a decimal of at most {digit_limit()} digits "
+                    f"plus exponent, with no zero denominator") from None
         kwargs["duration_pool"] = _numbers("duration_pool", lambda: tuple(
-            (_duration_key(key), float(value))
-            for key, value in pool.items()))
+            zip(durations, map(float, pool.values()))))
     if "tag_markov" in raw:
         kwargs["tag_markov"] = _numbers(
             "tag_markov", lambda: np.array(raw["tag_markov"], dtype=float))
@@ -292,18 +307,8 @@ def _strings(value, key: str) -> list[str]:
     return value
 
 
-def _duration_key(key: str) -> Fraction:
-    """A duration_pool key as a Fraction, its size bounded before parsing."""
-    if exceeds_digit_limit(key):
-        shown = key if len(key) <= 40 else f"{key[:40]}..."
-        raise InputError(
-            f"duration_pool key {shown!r} is too large: its digits plus its "
-            f"exponent exceed {digit_limit()}")
-    return Fraction(key)
-
-
 def _int_pair(value, name: str) -> tuple[int, int]:
     if (not isinstance(value, list) or len(value) != 2
-            or not all(isinstance(v, int) for v in value)):
+            or not all(type(v) is int for v in value)):  # JSON true is no int
         raise InputError(f"{name} must be a two-integer list")
     return (value[0], value[1])

@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import InputError, ShapeMismatch
 from .score import (Melody, StateSequence, TaggedCorpus, TagMatrix, TagSet,
-                    last_numbered, note_numbers)
+                    number_notes)
 
 # (numerator, denominator, label) of each bucket's inclusive upper bound
 _DURATION_BUCKETS = (
@@ -217,19 +217,13 @@ def _compile(melodies: Iterable[Melody],
     """
     learned: dict[str, int] = {}
     index = learned.get if vectorizer is None else vectorizer.index
-    notes: dict = {}
-    midi = np.empty(0, dtype=int)  # by note number, grown by doubling
+    melodies = list(melodies)
+    notes, note_ids = number_notes(melodies)
+    midi = np.array([note.midi for note in notes], dtype=int)
     rows: dict[int, int] = {}  # context key -> row number
     indices: list[list[int | None]] = []  # per row
     numbers = []
-    for melody in melodies:
-        seen = len(notes)
-        ids = note_numbers(melody, notes)
-        if len(notes) > seen:
-            if len(notes) > len(midi):
-                midi = np.concatenate([midi, np.empty(len(notes), dtype=int)])
-            midi[seen:len(notes)] = [
-                note.midi for note in last_numbered(notes, len(notes) - seen)]
+    for melody, ids in zip(melodies, note_ids):
         pitch = midi[ids]
         sign = np.sign(pitch[1:] - pitch[:-1]) + 1
         edge = [3]  # BOS before the first note, EOS after the last

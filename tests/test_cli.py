@@ -1148,8 +1148,12 @@ class TestSynth:
          "tag_markov"),
         ('{"emission_bias": {"trills": {"(3,inf)": null}}}', "emission_bias"),
         ('{"duration_pool": {"1": NaN, "2": 1.0}}', "duration_pool"),
+        ('{"duration_pool": {"\u0663": 0.5, " +1/2 ": 0.5}}', "duration_pool"),
+        ('{"melody_length_range": [9223372036854775807, '
+         '9223372036854775807]}', "melody_length_range"),
+        ('{"melody_length_range": [true, 3]}', "melody_length_range"),
     ], ids=["huge-int", "deep-nesting", "ragged-markov", "null-bias",
-            "nan-pool"])
+            "nan-pool", "non-grammar-keys", "int64-length", "bool-length"])
     def test_bad_profile_value_exits_2(self, tmp_path, capsys, text, named):
         """Each bad profile value is located input, never exit 3."""
         profile = tmp_path / "p.json"

@@ -12,12 +12,13 @@ from ornatag.errors import InputError
 from ornatag.rules import (
     FEATURES,
     Clause,
-    CompiledRules,
     Firing,
     Rule,
     RuleSet,
     build_weight_matrix,
     collect_firings,
+    fire,
+    fire_batch,
     parse_number,
     parse_rules,
     serialize_rules,
@@ -635,12 +636,11 @@ class TestCollectFirings:
 
     @given(st.lists(random_rule_lines(), max_size=6), shared_corpus())
     def test_one_compiled_ruleset_across_melodies(self, lines, corpus):
-        """One CompiledRules fires each melody as the reference does, and
-        its weight matrix is the product over the firings in order."""
+        """One ruleset fires each melody of a corpus as the reference does,
+        and its weight matrix is the product over the firings in order."""
         ruleset = parse_rules("".join(f"{l}\n" for l in lines), TAGS)
-        compiled = CompiledRules(ruleset)
         for melody, base in corpus:
-            firings = compiled.fire(melody, base)
+            firings = fire(ruleset, melody, base)
             expected = reference_firings(ruleset, melody, base)
             assert firings.records() == expected
             values = np.ones((len(TAGS), len(melody)))
@@ -712,7 +712,7 @@ class TestFireBatch:
         ruleset = parse_rules("".join(f"{l}\n" for l in lines), TAGS)
         melodies = [melody for melody, _ in batch]
         bases = [base for _, base in batch]
-        fired = CompiledRules(ruleset).fire_batch(melodies, bases)
+        fired = fire_batch(ruleset, melodies, bases)
         assert len(fired) == len(batch)
         for firings, melody, base in zip(fired, melodies, bases):
             assert firings.length == len(melody)
@@ -722,9 +722,16 @@ class TestFireBatch:
     def test_empty_ruleset_fires_nothing(self):
         melodies = [melody_from_tokens(["C4:1"] * n) for n in (3, 1, 5)]
         bases = [StateSequence((0,) * len(m)) for m in melodies]
-        fired = CompiledRules(RuleSet(TAGS, ())).fire_batch(melodies, bases)
+        fired = fire_batch(RuleSet(TAGS, ()), melodies, bases)
         assert [(f.length, f.records()) for f in fired] == [
             (3, []), (1, []), (5, [])]
+
+    @pytest.mark.parametrize("line", [
+        "IF duration(@t) > 3 THEN tag(@t) = trills",
+        "IF pred(@t-1) == trills AND position(@t) > 1 THEN tag(@t) = none",
+    ])
+    def test_empty_batch_fires_nothing(self, line):
+        assert fire_batch(parse_rules(line + "\n", TAGS), [], []) == []
 
 
 class TestOrderIndependence:

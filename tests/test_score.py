@@ -20,6 +20,7 @@ from ornatag.score import (
     digit_limit,
     exceeds_digit_limit,
     iter_data_lines,
+    number_notes,
     parse_corpus,
     parse_melody,
     parse_note,
@@ -104,6 +105,23 @@ class TestNote:
                                input=pickled, capture_output=True, text=True,
                                check=True, timeout=60).stdout
         assert found.strip() == "found"
+
+
+class TestNumberNotes:
+    """One numbering of a call's notes, by value, in first-met order."""
+
+    def test_equal_notes_share_a_number_in_first_met_order(self):
+        c4, d4 = Note("C", 0, 4, Fraction(1)), Note("D", 0, 4, Fraction(2))
+        melodies = [Melody((d4, c4, d4)),
+                    Melody((Note("C", 0, 4, Fraction(2, 2)), c4)),
+                    Melody((Note("E", 0, 4, Fraction(1, 2)), d4))]
+        notes, ids = number_notes(melodies)
+        assert notes == [d4, c4, Note("E", 0, 4, Fraction(1, 2))]
+        assert [row.tolist() for row in ids] == [[0, 1, 0], [1, 1], [2, 0]]
+        assert all(row.dtype == int for row in ids)
+
+    def test_no_melodies(self):
+        assert number_notes([]) == ([], [])
 
 
 class TestParseNote:

@@ -90,6 +90,11 @@ class TestSynthProfile:
         with pytest.raises(InputError):
             SynthProfile(pitch_range=(60, 300))
 
+    def test_melody_length_capped(self):
+        SynthProfile(melody_length_range=(100_000, 100_000))
+        with pytest.raises(InputError, match="100000"):
+            SynthProfile(melody_length_range=(1, 100_001))
+
     def test_pool_must_sum_to_one(self):
         with pytest.raises(InputError):
             SynthProfile(duration_pool=((Fraction(1), 0.5),))
@@ -530,8 +535,21 @@ class TestParseProfile:
         ('{"tags": ["a", "b"], "tag_markov": [[NaN, 0.5], [0.5, 0.5]]}',
          "tag_markov"),
         ('{"duration_pool": {"1": NaN, "2": 1.0}}', "duration_pool"),
+        ('{"duration_pool": {"\u0663": 0.5, "1": 0.5}}', "duration_pool"),
+        ('{"duration_pool": {"1_000": 0.5, "1": 0.5}}', "duration_pool"),
+        ('{"duration_pool": {" +1/2 ": 0.5, "1": 0.5}}', "duration_pool"),
+        ('{"duration_pool": {".5": 0.5, "1": 0.5}}', "duration_pool"),
+        ('{"duration_pool": {"5.": 0.5, "1": 0.5}}', "duration_pool"),
+        ('{"duration_pool": {"-1": 0.5, "1": 0.5}}', "duration_pool"),
+        ('{"melody_length_range": [9223372036854775807, '
+         '9223372036854775807]}', "melody_length_range"),
+        ('{"melody_length_range": [true, 3]}', "melody_length_range"),
+        ('{"pitch_range": [60, true]}', "pitch_range"),
     ], ids=["huge-int", "int-tags", "str-markov", "ragged-markov", "str-bias",
-            "null-bias", "nan-markov", "nan-pool"])
+            "null-bias", "nan-markov", "nan-pool", "arabic-digit-key",
+            "underscore-key", "signed-spaced-key", "no-int-part-key",
+            "no-fraction-part-key", "negative-key", "int64-length",
+            "bool-length", "bool-pitch"])
     def test_bad_values_name_their_key(self, text, key):
         with pytest.raises(InputError, match=key):
             parse_profile(text)

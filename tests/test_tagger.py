@@ -26,8 +26,7 @@ from ornatag.score import (
     StateSequence,
     TaggedCorpus,
     TagSet,
-    last_numbered,
-    note_numbers,
+    number_notes,
     parse_note,
 )
 from ornatag.synth import SynthProfile, generate_synthetic
@@ -240,11 +239,10 @@ class TestCompiledFeatures:
         contexts = {feature_context(melody, t)
                     for melody in melodies for t in range(len(melody))}
         assert len(distinct) < len(contexts) < corpus.token_count
-        numbers = {}
-        for melody in melodies:
-            ids = note_numbers(melody, numbers)
-            assert [list(numbers)[i] for i in ids] == list(melody)
-        assert len(numbers) == len(distinct)
+        notes, ids = number_notes(melodies)
+        for melody, numbers in zip(melodies, ids):
+            assert [notes[i] for i in numbers] == list(melody)
+        assert len(notes) == len(distinct)
         calls = []
 
         def counting(melody, t):
@@ -262,11 +260,11 @@ class TestCompiledFeatures:
 
 
     def test_fresh_notes_compile_in_linear_time(self, monkeypatch):
-        """Each melody's new notes are read as they are numbered, not by
-        walking every distinct note met so far: the notes read add up to
-        the distinct notes.  2,000 melodies of 32 notes with random
+        """Outside feature extraction, each distinct note's pitch is read
+        once, not again for every melody that follows: the reads add up
+        to the distinct notes.  2,000 melodies of 32 notes with random
         durations, nearly every note new, compile in about 0.6 s on a
-        2-core VM; the walk took about 5 s."""
+        2-core VM; a walk over every note met so far took about 5 s."""
         rng = np.random.default_rng(0)
         melodies = [Melody(tuple(
             Note("CDEFGAB"[step], 0, int(octave), Fraction(int(num), 64))
@@ -274,14 +272,29 @@ class TestCompiledFeatures:
                                          rng.integers(2, 6, 32),
                                          rng.integers(1, 10**6, 32))))
             for _ in range(2000)]
-        read = []
-        monkeypatch.setattr(tagger, "last_numbered", lambda numbers, count: (
-            read.append(count) or last_numbered(numbers, count)))
+        reads = [0]
+        counting = [True]
+        midi = Note.midi.fget
+
+        def counted_midi(note):
+            reads[0] += counting[0]
+            return midi(note)
+
+        def uncounted_features(melody, t):
+            counting[0] = False
+            try:
+                return extract_features(melody, t)
+            finally:
+                counting[0] = True
+
+        monkeypatch.setattr(Note, "midi", property(counted_midi))
+        monkeypatch.setattr(tagger, "extract_features", uncounted_features)
         started = time.perf_counter()
         _, rows = _compile(melodies)
         elapsed = time.perf_counter() - started
-        assert sum(read) == len({note for melody in melodies
-                                 for note in melody})
+        monkeypatch.undo()
+        assert reads[0] == len({note for melody in melodies
+                                for note in melody})
         assert elapsed < 2.5
         assert [len(row) for row in rows] == [32] * 2000
 
