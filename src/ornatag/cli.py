@@ -77,13 +77,14 @@ def _write(path: str, text: str) -> None:
 # -- config files ----------------------------------------------------------------
 
 
-def _domain(kind, holds, name: str):
+def _domain(kind, holds, name: str, most=None):
     """A setting's converter: one number of the rule file's grammar, as
     ``kind`` (``int`` takes an ``INT`` only), for which ``holds``.
 
     It serves as the argparse ``type=`` of the setting's flag and as its
-    config-file reader; ``name`` completes both error messages.  A float
-    past float range fails, so every value is finite.
+    config-file reader; ``name`` completes both error messages, and a
+    value above ``most`` fails naming it.  A float past float range
+    fails, so every value is finite.
     """
     def convert(text: str):
         try:
@@ -92,12 +93,17 @@ def _domain(kind, holds, name: str):
             raise ValueError(text) from None
         if not holds(value) or (kind is int and not text.isdigit()):
             raise ValueError(text)
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(
+                f"{text} is more than the maximum, {most}")
         return value
     convert.__name__ = name
     return convert
 
 
 _COUNT = _domain(int, lambda v: v >= 0, "nonnegative integer")
+_MELODIES = _domain(int, lambda v: v >= 0, "nonnegative integer",
+                    most=100_000)
 # the rule file's rule for WEIGHT, H1 and H2 holds for step_size too
 _POSITIVE = _domain(float, lambda v: v > 0, "finite positive number")
 
@@ -118,9 +124,7 @@ _SETTINGS = {
 def parse_config(text: str) -> dict:
     """key=value lines, commented as every input file; unknown keys fail."""
     values = {}
-    for lineno, data, blank in iter_data_lines(text):
-        if blank:
-            continue
+    for lineno, data in iter_data_lines(text):
         key, sep, value = data.partition("=")
         key = key.strip()
         value = value.strip()
@@ -296,7 +300,7 @@ def build_parser() -> _Parser:
     group.add_argument("--profile", help="JSON generation profile")
     group.add_argument("--default", action="store_true",
                        help="use the built-in profile")
-    p_synth.add_argument("--melodies", type=_COUNT, required=True)
+    p_synth.add_argument("--melodies", type=_MELODIES, required=True)
     _add_flag(p_synth, "seed", required=True)
     p_synth.add_argument("--out", required=True)
     p_synth.add_argument("--tagset-out", dest="tagset_out",

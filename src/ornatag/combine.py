@@ -15,8 +15,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ShapeMismatch
-from .rules import Firing, Firings, RuleSet, WeightMatrix, fire_batch
-from .score import Melody, StateSequence, TagMatrix, TagSet
+from .rules import Firing, Firings, RuleSet, WeightMatrix, _fire_numbered
+from .score import Melody, StateSequence, TagMatrix, TagSet, number_notes
 from .tagger import PredictionMatrix, TaggerModel, _batches, infer
 
 
@@ -69,8 +69,8 @@ def tag_corpus(model: TaggerModel, rules: RuleSet,
     Marginals and base paths come from one batched inference pass per
     batch of melodies, as many as fit in a budget of padded cells
     (melodies x longest length), and the rules fire once per batch
-    (:func:`~ornatag.rules.fire_batch`), each note test evaluated once
-    per distinct note of the batch; fusion then runs per melody.
+    (:func:`~ornatag.rules.fire_batch`); the batch's notes are numbered
+    once for both (:func:`number_notes`).  Fusion then runs per melody.
     Results are yielded one at a time, so a caller that does not keep
     them holds at most one batch, and the input is read at most one
     melody past it.  A ruleset bound to another tag set than the
@@ -83,8 +83,10 @@ def tag_corpus(model: TaggerModel, rules: RuleSet,
                             "than the model")
     start = 1
     for batch in _batches(melodies):
-        inferred = infer(model, batch, start)
-        fired = fire_batch(rules, batch, [base for _, base in inferred])
+        numbering = number_notes(batch)
+        inferred = infer(model, batch, start, numbering)
+        fired = _fire_numbered(rules, batch, [base for _, base in inferred],
+                               numbering)
         for (p2, base), firings in zip(inferred, fired):
             p1 = firings.weight_matrix()
             fused = combine(p1, p2)

@@ -34,11 +34,11 @@ source order, then anchors left to right), so reordering rules changes
 weights are powers of two.
 
 :func:`fire_batch` fires a batch of melodies in one pass, each clause
-a boolean mask over the padded grid of melodies by positions.  Each
-call numbers the notes of its batch and runs each note test once per
-distinct note; nothing is kept from one call to the next.  Firings
-stay arrays (:class:`Firings`); :class:`Firing` records are built on
-demand.
+a boolean mask over the padded grid of melodies by positions, and each
+note test once per distinct note.  It numbers the batch's notes unless
+``combine.tag_corpus`` hands it those of its CRF pass, and keeps
+nothing from one call to the next.  Firings stay arrays
+(:class:`Firings`); :class:`Firing` records are built on demand.
 """
 
 from __future__ import annotations
@@ -158,8 +158,9 @@ class Firing:
 
 # -- scanner -------------------------------------------------------------------
 
+# numerator / denominator, or whole part, fraction digits and exponent
 _NUMBER_RE = re.compile(
-    r"[0-9]+/[0-9]+|[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+    r"([0-9]+)/([0-9]+)|([0-9]+)(?:\.([0-9]+))?(?:[eE]([-+]?[0-9]+))?")
 
 _TOKEN_RE = re.compile(
     r"(?P<POSREF>@t(?:[+-][0-9]+)?)"
@@ -210,14 +211,20 @@ def parse_number(text: str) -> Fraction:
     """The exact value of ``text``, one number of the rule grammar.
 
     Raises ValueError when ``text`` is anything else, passes the digit
-    limit or has a zero denominator.
+    limit or has a zero denominator.  Built from the digit runs.
     """
-    if not _NUMBER_RE.fullmatch(text) or exceeds_digit_limit(text):
+    match = _NUMBER_RE.fullmatch(text)
+    if not match or exceeds_digit_limit(text):
         raise ValueError(f"not a number of the rule grammar: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {text!r}") from None
+    num, den, whole, digits, exponent = match.groups()
+    if num is not None:
+        if not int(den):
+            raise ValueError(f"zero denominator: {text!r}")
+        return Fraction(int(num), int(den))
+    mantissa = int(whole + (digits or ""))
+    scale = int(exponent or 0) - len(digits or "")
+    return (Fraction(mantissa * 10 ** scale) if scale >= 0
+            else Fraction(mantissa, 10 ** -scale))
 
 
 class _LineParser:
@@ -379,9 +386,7 @@ def parse_rules(text: str, tagset: TagSet) -> RuleSet:
     """Parse a ruleset file; rule order and line numbers are preserved."""
     defaults: dict[str, float] = {}
     rules: list[Rule] = []
-    for lineno, data, blank in iter_data_lines(text):
-        if blank:
-            continue
+    for lineno, data in iter_data_lines(text):
         tokens = _scan(data, lineno)
         if not tokens:
             continue
@@ -484,6 +489,12 @@ def fire_batch(ruleset: RuleSet, melodies: Sequence[Melody],
     false.  Note tests run exactly, on Python values, once per distinct
     note of the batch.  Rules go in source order, anchors left to right.
     """
+    return _fire_numbered(ruleset, melodies, bases, None)
+
+
+def _fire_numbered(ruleset: RuleSet, melodies: Sequence[Melody],
+                   bases: Sequence[StateSequence], numbering) -> list[Firings]:
+    """:func:`fire_batch`, given the melodies' :func:`number_notes` or None."""
     if not melodies:
         return []
     lengths = [len(melody) for melody in melodies]
@@ -493,7 +504,7 @@ def fire_batch(ruleset: RuleSet, melodies: Sequence[Melody],
     tests = [c for c in clauses if c.feature in _NOTE_ATTRS]
     notes = iter(())  # the note tests' truth per grid cell, in order
     if tests:
-        distinct, ids = number_notes(melodies)
+        distinct, ids = numbering or number_notes(melodies)
         # a column per distinct note, then an all-False one for padding
         table = np.array([[_COMPARE[c.comparator](
             getattr(note, _NOTE_ATTRS[c.feature]), c.value)

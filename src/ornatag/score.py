@@ -347,31 +347,27 @@ def decode_text(data: bytes) -> str:
                          line=line) from None
 
 
-def iter_data_lines(text: str) -> Iterator[tuple[int, str, bool]]:
-    """Yield (1-based line number, data text, is_blank) per line.
+def _data(raw: str) -> str | None:
+    """A line's data: None for a blank line, "" for a comment-only one."""
+    data = raw.strip()
+    if "#" in data:
+        return _COMMENT_RE.split(raw, 1)[0].strip()
+    return data or None
 
-    Comment-only lines are dropped entirely.  ``is_blank`` marks lines
-    that were empty before comment stripping.  Only a line with a '#' is
-    searched for a comment.
-    """
+
+def iter_data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, data text) per line that holds data:
+    blank and comment-only lines are dropped."""
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        data = raw.strip()
-        if data == "":
-            yield lineno, "", True
-            continue
-        if "#" in data:
-            data = _COMMENT_RE.split(raw, 1)[0].strip()
-            if data == "":
-                continue
-        yield lineno, data, False
+        data = _data(raw)
+        if data:
+            yield lineno, data
 
 
 def parse_tagset(text: str) -> TagSet:
     """Read a tag set file: one identifier per line, order = index."""
     tags = []
-    for lineno, data, blank in iter_data_lines(text):
-        if blank:
-            continue
+    for lineno, data in iter_data_lines(text):
         if not _TAG_RE.match(data):
             raise InputError(
                 f"invalid tag identifier {data!r}", token=data, line=lineno)
@@ -391,66 +387,68 @@ def parse_melody(text: str) -> Melody:
     """Read a melody file: whitespace-separated canonical note tokens."""
     notes = []
     interned: dict[str, Note] = {}
-    for lineno, data, blank in iter_data_lines(text):
-        if blank:
-            continue
-        notes.extend(_parse_located_note(token, lineno, interned)
-                     for token in data.split())
+    for lineno, data in iter_data_lines(text):
+        try:
+            notes.extend(_intern(token, interned) for token in data.split())
+        except InputError as err:
+            err.line = lineno
+            raise
     if not notes:
         raise InputError("melody file contains no notes")
     return Melody(tuple(notes))
 
 
-def _parse_located_note(token: str, lineno: int,
-                        interned: dict[str, Note]) -> Note:
-    """:func:`parse_note` once per token string of one parse (notes are
-    frozen, so shared), with any error located at line ``lineno``."""
-    note = interned.get(token)
-    if note is None:
-        try:
-            note = interned[token] = parse_note(token)
-        except InputError as err:
-            err.line = lineno
-            raise
-    return note
+def _intern(token: str, interned: dict[str, Note]) -> Note:
+    """One :func:`parse_note` per token string of a parse, shared."""
+    return interned.get(token) or interned.setdefault(token, parse_note(token))
 
 
 def serialize_melody(melody: Melody) -> str:
     return "".join(f"{serialize_note(n)}\n" for n in melody)
 
 
+_BREAK, _SKIP = object(), object()  # a blank and a comment-only line's cell
+
+
 def parse_corpus(text: str, tagset: TagSet) -> TaggedCorpus:
-    """Read a CoNLL-style corpus: ``note<TAB>tag`` lines, blank-separated."""
-    entries: list[tuple[Melody, StateSequence]] = []
-    notes: list[Note] = []
-    states: list[int] = []
+    """Read a CoNLL-style corpus: ``note<TAB>tag`` lines, blank-separated.
+
+    Each distinct line is read once per call, at its first sight, into
+    a (note, tag index) cell or a mark for a blank or comment-only line,
+    so a repeated line is one dict lookup.  The first bad line raises,
+    at its line number.
+    """
+    lines = text.split("\n")
+    cells: dict[str, object] = {}
     interned: dict[str, Note] = {}
 
-    def flush():
-        if notes:
-            entries.append((Melody(tuple(notes)), StateSequence(tuple(states))))
-            notes.clear()
-            states.clear()
+    def read(raw: str):
+        data = _data(raw)
+        cells[raw] = _BREAK if data is None else _SKIP
+        if data:
+            # tab-separated, or space-separated without a tab; two fields
+            fields = data.split("\t") if "\t" in data else data.split()
+            try:
+                if len(fields) != 2:
+                    raise InputError(f"expected 'note<TAB>tag', got {data!r}")
+                note = _intern(fields[0], interned)
+                cells[raw] = note, tagset.index(fields[1])
+            except InputError as err:
+                err.line = lines.index(raw) + 1
+                raise
+        return cells[raw]
 
-    for lineno, data, blank in iter_data_lines(text):
-        if blank:
-            flush()
-            continue
-        fields = data.split("\t")
-        if len(fields) == 1:
-            # tolerate space-separated pairs, but exactly two fields
-            fields = data.split()
-        if len(fields) != 2:
-            raise InputError(
-                f"expected 'note<TAB>tag', got {data!r}", line=lineno)
-        token, tag = fields
-        note = _parse_located_note(token, lineno, interned)
-        index = tagset._index.get(tag)
-        if index is None:
-            raise InputError(f"unknown tag {tag!r}", token=tag, line=lineno)
-        notes.append(note)
-        states.append(index)
-    flush()
+    row = [cells.get(raw) or read(raw) for raw in lines]
+    if _SKIP in cells.values():
+        row = [cell for cell in row if cell is not _SKIP]
+    row.append(_BREAK)
+    entries, start = [], 0
+    while start < len(row):
+        end = row.index(_BREAK, start)
+        if end > start:
+            notes, states = zip(*row[start:end])
+            entries.append((Melody(notes), StateSequence(states)))
+        start = end + 1
     if not entries:
         raise InputError("corpus file contains no entries")
     return TaggedCorpus(tagset, tuple(entries))

@@ -21,31 +21,26 @@ smallest index sequence (the base prediction sequence fed to rules).
 Both are :func:`infer` on a batch of one; ``infer`` gives both views
 of a list of melodies from one compile and one emission build.
 
-Training and inference share one compiled, batched path.  A melody is
-compiled once into a T x K int32 array: row t holds the indices of the
-features active at t, in sorted name order, built once per distinct
-note context (notes numbered by value) and gathered per position.
-Unseen features and the padding of short rows point at a sentinel
-index F (the feature count), whose weight row is zero, so emissions
-are K gathers and adds with no branch.  A batch stacks into B x T x K
-indices padded past every melody's length, longest melody first (a
-batch of one as it is); the recursions run over the B x T x H batch,
-and at each step only over the prefix of rows still inside their
-melody, so ended rows cost nothing.  One backward pass
-(:func:`_backward`) gives both log beta and the Viterbi suffix maxima,
-reducing with log-sum-exp or with max.  A loss without a gradient
-(``train``'s final loss) runs the alpha recursion alone, in batches of
-at most ``_BATCH_CELLS`` padded cells, as ``combine.tag_corpus``
-does.  A vectorizer's names are fixed when it is
-built; ``train`` learns them in the same pass that compiles the
-corpus.  Each melody's gradient is scattered with ``np.add.at``,
-which adds in index order: the order of the per-position loop it
-replaced (melody, then position, each marginal before the gold
-count), and losses are added in entry order whatever the row order.
+Training and inference share one compiled, batched path.  A batch of
+melodies compiles into a context table and each melody's context ids.
+A context is a note (numbered by value) with the interval sign, or
+BOS/EOS, into and out of it; table row c holds the int32 indices of
+its features in sorted name order, extracted once.  Unseen features
+and the padding of short rows point at a sentinel index F (the feature
+count), whose weight row is zero.  Emissions are summed once per
+context, K gathers and adds with no branch, then gathered over the
+B x T grid of context ids, padded longest melody first.  The
+recursions run over the B x T x H batch, at each step only over the
+prefix of rows still inside their melody; one backward pass
+(:func:`_backward`) gives both log beta and the Viterbi suffix maxima.
+A loss without a gradient (``train``'s final loss) runs the alpha
+recursion alone, in batches of at most ``_BATCH_CELLS`` padded cells,
+as ``combine.tag_corpus`` does.  ``train`` learns its vectorizer in the
+pass that compiles the corpus.  Gradients are scattered with
+``np.add.at`` in the order of the per-position loop it replaced, and
 numpy reduces every batch row as it reduced the single melody, so
 models, marginals and paths are bit-identical to the per-melody
-loops'.  Each alpha and backward step reduces one reused B x H x H
-buffer in place, under one ``errstate`` per recursion.
+loops'.
 """
 
 from __future__ import annotations
@@ -53,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate, zip_longest
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -105,6 +101,7 @@ def extract_features(melody: Melody, t: int) -> frozenset[str]:
     if not 0 <= t < T:
         raise IndexError(f"position {t} outside melody of length {T}")
     note = melody[t]
+    midi = note.midi
     features = {
         f"step={note.step}",
         f"alt={note.alteration}",
@@ -115,12 +112,12 @@ def extract_features(melody: Melody, t: int) -> frozenset[str]:
         features.add("prev_interval_sign=BOS")
         features.add("pos=BOS")
     else:
-        features.add(f"prev_interval_sign={_sign(note.midi - melody[t - 1].midi)}")
+        features.add(f"prev_interval_sign={_sign(midi - melody[t - 1].midi)}")
     if t == T - 1:
         features.add("next_interval_sign=EOS")
         features.add("pos=EOS")
     else:
-        features.add(f"next_interval_sign={_sign(melody[t + 1].midi - note.midi)}")
+        features.add(f"next_interval_sign={_sign(melody[t + 1].midi - midi)}")
     return frozenset(features)
 
 
@@ -186,10 +183,6 @@ class TaggerModel:
                 and np.all(np.isfinite(transitions))):
             raise ValueError("model weights must be finite")
 
-    @property
-    def num_features(self) -> int:
-        return len(self.vectorizer)
-
 
 class PredictionMatrix(TagMatrix):
     """Posterior marginals p2: entries in [0, 1], columns summing to 1."""
@@ -204,79 +197,74 @@ class PredictionMatrix(TagMatrix):
 
 def _compile(melodies: Iterable[Melody],
              vectorizer: FeatureVectorizer | None = None,
-             exclude: frozenset[str] = frozenset()
-             ) -> tuple[FeatureVectorizer, list[np.ndarray]]:
-    """The vectorizer, and each melody's T x K int32 feature indices.
+             exclude: frozenset[str] = frozenset(), numbering=None
+             ) -> tuple[FeatureVectorizer, np.ndarray, list[np.ndarray]]:
+    """The vectorizer, the context table and each melody's context ids.
 
-    Row t lists the indices of the features active at position t in
-    sorted name order, extracted once per distinct context: note, and
-    interval sign (or BOS/EOS) into and out of it.  Unseen features and
-    the padding of rows shorter than K point at the sentinel
-    ``len(vectorizer)``.  Without a ``vectorizer`` one is learned in the
-    same pass: every name not in ``exclude``, indexed as first met.
+    ``numbering`` is :func:`number_notes` of the melodies when the caller
+    has it.  One ``np.unique`` over the positions' context keys finds
+    the contexts, numbered as first met.  The table's last row, all
+    sentinel, pads a batch grid.  Without a ``vectorizer`` one is learned
+    in the same pass: every name not in ``exclude``, indexed as first met.
     """
-    learned: dict[str, int] = {}
-    index = learned.get if vectorizer is None else vectorizer.index
     melodies = list(melodies)
-    notes, note_ids = number_notes(melodies)
-    midi = np.array([note.midi for note in notes], dtype=int)
-    rows: dict[int, int] = {}  # context key -> row number
-    indices: list[list[int | None]] = []  # per row
-    numbers = []
-    for melody, ids in zip(melodies, note_ids):
-        pitch = midi[ids]
-        sign = np.sign(pitch[1:] - pitch[:-1]) + 1
-        edge = [3]  # BOS before the first note, EOS after the last
-        keys = (ids * 16 + np.concatenate([edge, sign]) * 4
-                + np.concatenate([sign, edge])).tolist()
-        for t, key in enumerate(keys):
-            if key not in rows:
-                names = sorted(extract_features(melody, t))
-                if vectorizer is None:
-                    for name in names:
-                        if name not in exclude:
-                            learned.setdefault(name, len(learned))
-                rows[key] = len(indices)
-                indices.append(list(map(index, names)))
-        numbers.append(np.array([rows[key] for key in keys]))
+    notes, note_ids = numbering or number_notes(melodies)
+    ids = np.concatenate([np.empty(0, int), *note_ids])
+    b = list(accumulate(map(len, melodies), initial=0))
+    bounds = np.array(b)  # each melody's first position, then the end
+    # the interval sign into each position and out of the last (0, 1, 2:
+    # -, 0, +), 3 where a melody starts or ends: BOS, EOS or both
+    edge = np.full(len(ids) + 1, 3)
+    edge[1:-1] = np.sign(np.diff(
+        np.array([note.midi for note in notes], dtype=int)[ids])) + 1
+    edge[bounds[1:-1]] = 3
+    keys = (ids * 16 + edge[:-1] * 4 + edge[1:]).astype(
+        np.min_scalar_type(16 * len(notes)))  # small keys sort by radix
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the contexts as first met
+    at = first[order]  # and the position where each is first met
+    melody_at = np.searchsorted(bounds, at, side="right") - 1
+    names = [sorted(extract_features(melodies[m], t)) for m, t
+             in zip(melody_at.tolist(), (at - bounds[melody_at]).tolist())]
     if vectorizer is None:
-        vectorizer = FeatureVectorizer(learned)
-    F = len(vectorizer)
-    widths = np.array([len(row) for row in indices], dtype=int)
-    table = np.full((len(indices), widths.max(initial=0)), F, dtype=np.int32)
-    for row, known in zip(table, indices):
-        row[:len(known)] = [F if i is None else i for i in known]
-    return vectorizer, [table[n, :widths[n].max()] for n in numbers]
+        vectorizer = FeatureVectorizer(dict.fromkeys(
+            name for row in names for name in row if name not in exclude))
+    index, F = vectorizer._indices.get, len(vectorizer)
+    rows = [[index(name, F) for name in row] for row in names]
+    # the rows and the padding row [], padded in one transpose
+    table = np.array(list(zip_longest(*rows, [], fillvalue=F)),
+                     dtype=np.int32).reshape(-1, len(rows) + 1).T
+    context = np.argsort(order)[inverse]
+    return vectorizer, table, [context[i:j] for i, j in zip(b, b[1:])]
 
 
 def _pad(arrays: Sequence[np.ndarray], fill: int,
          rows: Sequence[int]) -> np.ndarray:
-    """Stack arrays into one, array i at row ``rows[i]``, each
-    right-padded with ``fill`` on every axis."""
-    shape = np.max([a.shape for a in arrays], axis=0)
-    out = np.full((len(arrays), *shape), fill, dtype=arrays[0].dtype)
+    """1-d arrays as rows ``rows`` of a 2-d array, padded with ``fill``."""
+    out = np.full((len(arrays), max(map(len, arrays))), fill,
+                  dtype=arrays[0].dtype)
     for b, a in zip(rows, arrays):
-        out[(b, *map(slice, a.shape))] = a
+        out[b, :len(a)] = a
     return out
 
 
-def _emissions(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """... x H emission scores of ... x K compiled feature indices.
+def _emissions(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """C x H emission scores of a C x K context table, one row per context.
 
     The weight rows are added in K order, the order of a per-position
     ``weights[idx].sum(axis=0)``; the sentinel index reads a zero row.
     """
     padded = np.vstack([weights, np.zeros((1, weights.shape[1]))])
-    E = padded[features[..., 0]]
-    for k in range(1, features.shape[-1]):
-        E += padded[features[..., k]]
+    E = padded[table[:, 0]]
+    for k in range(1, table.shape[1]):
+        E += padded[table[:, k]]
     return E
 
 
 def emission_matrix(model: TaggerModel, melody: Melody) -> np.ndarray:
     """T x H matrix of emission scores; unseen features contribute zero."""
-    return _emissions(model.emission_weights,
-                      _compile([melody], model.vectorizer)[1][0])
+    _, table, (contexts,) = _compile([melody], model.vectorizer)
+    return _emissions(model.emission_weights, table)[contexts]
 
 
 def _lse_core(a: np.ndarray, axis: int) -> np.ndarray:
@@ -352,15 +340,6 @@ def _forward(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray):
     return log_alpha, log_z
 
 
-def _forward_backward(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray):
-    """(log_alpha, log_beta, log_z) of a batch padded longest first, with
-    log_z of shape (B,); values past an entry's length are meaningless."""
-    log_alpha, log_z = _forward(E, Tr, lengths)
-    with np.errstate(all="ignore"):
-        log_beta = _backward(E, Tr, lengths, _lse_core)
-    return log_alpha, log_beta, log_z
-
-
 def _viterbi(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """B x T best paths of a batch padded longest first; ties go to the
     smallest sequence.
@@ -386,22 +365,23 @@ def _viterbi(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return path
 
 
-def _crf_pass(model: TaggerModel, features: Sequence[np.ndarray]):
+def _crf_pass(model: TaggerModel, table: np.ndarray,
+              contexts: Sequence[np.ndarray]):
     """(rows, lengths, E) of compiled melodies: one batch padded longest
     first, as the recursions need, and its emissions.
 
     Entry i is row ``rows[i]`` and ``lengths`` are the rows' lengths, so
-    they do not increase.  A batch of one is taken as it is.
+    they do not increase.  A batch of one is taken as it is.  Padding
+    reads the table's all-sentinel last row.
     """
-    lengths = np.array([len(indices) for indices in features])
-    rows = [0]
-    if len(features) > 1:
+    lengths = np.array([len(ids) for ids in contexts])
+    rows, grid = [0], contexts[0][None]
+    if len(contexts) > 1:
         order = np.argsort(-lengths, kind="stable")
         lengths = lengths[order]
         rows = np.argsort(order).tolist()
-    E = _emissions(model.emission_weights,
-                   _pad(features, model.num_features, rows))
-    return rows, lengths, E
+        grid = _pad(contexts, len(table) - 1, rows)
+    return rows, lengths, _emissions(model.emission_weights, table)[grid]
 
 
 # padded cells (melodies x longest length) per batch of tag_corpus and of
@@ -426,8 +406,8 @@ def _batches(items: Iterable, length: Callable = len) -> Iterator[list]:
         yield batch
 
 
-def infer(model: TaggerModel, melodies: Sequence[Melody], start: int = 1
-          ) -> list[tuple[PredictionMatrix, StateSequence]]:
+def infer(model: TaggerModel, melodies: Sequence[Melody], start: int = 1,
+          numbering=None) -> list[tuple[PredictionMatrix, StateSequence]]:
     """Posterior marginals and Viterbi path of each melody, in one batch.
 
     The melodies are compiled once and their emissions built once over
@@ -436,19 +416,22 @@ def infer(model: TaggerModel, melodies: Sequence[Melody], start: int = 1
     sums, and its path is the maximum-scoring one, smallest index
     sequence among ties.  Marginals that are not finite, from weights
     too large for float range, raise InputError naming the melody by
-    its number, counting from ``start``.
+    its number, counting from ``start``.  ``numbering``: see _compile.
     """
     if not melodies:
         return []
-    _, features = _compile(melodies, model.vectorizer)
-    rows, lengths, E = _crf_pass(model, features)
+    _, table, contexts = _compile(melodies, model.vectorizer,
+                                  numbering=numbering)
+    rows, lengths, E = _crf_pass(model, table, contexts)
     Tr = model.transition_weights
     paths = _viterbi(E, Tr, lengths)  # first: its B x T x H array is freed
-    log_alpha, log_beta, log_z = _forward_backward(E, Tr, lengths)
+    log_alpha, log_z = _forward(E, Tr, lengths)
+    with np.errstate(all="ignore"):
+        log_beta = _backward(E, Tr, lengths, _lse_core)
     results = []
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for number, (b, indices) in enumerate(zip(rows, features), start):
-            T = len(indices)
+        for number, (b, ids) in enumerate(zip(rows, contexts), start):
+            T = len(ids)
             marginals = np.exp(log_alpha[b, :T] + log_beta[b, :T] - log_z[b]).T
             # exact within float error already; renormalize to pin column sums
             marginals /= marginals.sum(axis=0, keepdims=True)
@@ -489,22 +472,22 @@ def unflatten_weights(flat: np.ndarray, num_features: int,
     return emissions, transitions
 
 
-def _batch_nll(model: TaggerModel, features: Sequence[np.ndarray],
-               golds: Sequence[np.ndarray], loss: float = 0.0,
-               counts: np.ndarray | None = None) -> float:
+def _batch_nll(model: TaggerModel, table: np.ndarray,
+               contexts: Sequence[np.ndarray], golds: Sequence[np.ndarray],
+               loss: float = 0.0, counts: np.ndarray | None = None) -> float:
     """Add each entry's log Z - score(gold) to ``loss``, in entry order.
 
-    ``features`` are compiled index arrays and ``golds`` the gold tag
-    arrays of a mini-batch.  When ``counts`` is given (emission rows,
-    sentinel row included, then transition rows, flattened), expected
-    minus empirical feature counts are added to it in place, entry by
-    entry and position by position, each marginal before the gold count
-    at the same position.  Without ``counts`` only the alpha recursion
-    runs: log Z is all the loss reads.
+    ``contexts`` (rows of ``table``) and ``golds`` are the context ids
+    and gold tags of a mini-batch.  When ``counts`` is given (emission
+    rows, sentinel row included, then transition rows, flattened),
+    expected minus empirical feature counts are added to it in place,
+    entry by entry and position by position, each marginal before the
+    gold count at the same position.  Without ``counts`` only the alpha
+    recursion runs: log Z is all the loss reads.
     """
     Tr = model.transition_weights
     F, H = model.emission_weights.shape
-    rows, lengths, E = _crf_pass(model, features)
+    rows, lengths, E = _crf_pass(model, table, contexts)
     log_alpha, log_z = _forward(E, Tr, lengths)
     gold = _pad(golds, 0, rows)
     gold_steps = np.take_along_axis(E, gold[:, :, None], axis=2)[:, :, 0]
@@ -520,7 +503,8 @@ def _batch_nll(model: TaggerModel, features: Sequence[np.ndarray],
         log_beta = _backward(E, Tr, lengths, _lse_core)
     tags = np.arange(H)
     pairs = (F + 1) * H + np.arange(H * H)
-    for b, indices, g in zip(rows, features, golds):
+    for b, ids, g in zip(rows, contexts, golds):
+        indices = table[ids]
         T, K = indices.shape
         unigram = np.exp(log_alpha[b, :T] + log_beta[b, :T] - log_z[b])
         emission_at = np.concatenate([
@@ -546,12 +530,13 @@ def _l2_penalty(model: TaggerModel, l2: float) -> float:
                        + np.sum(model.transition_weights ** 2))
 
 
-def _nll_and_gradient(model: TaggerModel, features: Sequence[np.ndarray],
+def _nll_and_gradient(model: TaggerModel, table: np.ndarray,
+                      contexts: Sequence[np.ndarray],
                       golds: Sequence[np.ndarray],
                       l2: float) -> tuple[float, np.ndarray]:
     F, H = model.emission_weights.shape
     counts = np.zeros((F + 1) * H + H * H)
-    loss = _batch_nll(model, features, golds, counts=counts)
+    loss = _batch_nll(model, table, contexts, golds, counts=counts)
     loss += _l2_penalty(model, l2)
     gradient = (np.delete(counts, np.s_[F * H:(F + 1) * H])
                 + l2 * flatten_weights(model))
@@ -568,9 +553,10 @@ def nll_and_gradient(model: TaggerModel, batch: TaggedCorpus,
     """
     if len(batch) == 0:
         raise InputError("gradient of an empty batch")
-    _, features = _compile((melody for melody, _ in batch), model.vectorizer)
+    _, table, contexts = _compile((melody for melody, _ in batch),
+                                  model.vectorizer)
     golds = [np.array(gold.tags) for _, gold in batch]
-    return _nll_and_gradient(model, features, golds, l2)
+    return _nll_and_gradient(model, table, contexts, golds, l2)
 
 
 @dataclass(frozen=True)
@@ -625,14 +611,12 @@ def train(corpus: TaggedCorpus, config: TrainConfig = TrainConfig(),
         raise InputError("cannot train on an empty corpus")
     tagset = corpus.tagset
     H = len(tagset)
-    vectorizer, features = _compile((melody for melody, _ in corpus),
-                                    exclude=config.exclude_features)
+    vectorizer, table, contexts = _compile((melody for melody, _ in corpus),
+                                           exclude=config.exclude_features)
     golds = [np.array(gold.tags) for _, gold in corpus]
     F = len(vectorizer)
-    emissions = np.zeros((F, H))
-    transitions = np.zeros((H, H))
-    meta = TrainingMeta(epochs=0, final_loss=0.0, seed=config.seed)
-    model = TaggerModel(tagset, vectorizer, emissions, transitions, meta)
+    model = TaggerModel(tagset, vectorizer, np.zeros((F, H)), np.zeros((H, H)),
+                        TrainingMeta(0, 0.0, config.seed))
     rng = np.random.default_rng(config.seed)
     n_entries = len(corpus.entries)
 
@@ -651,7 +635,7 @@ def train(corpus: TaggedCorpus, config: TrainConfig = TrainConfig(),
             tokens = sum(len(golds[i]) for i in chosen)
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
                 loss, gradient = _nll_and_gradient(
-                    model, [features[i] for i in chosen],
+                    model, table, [contexts[i] for i in chosen],
                     [golds[i] for i in chosen], batch_l2)
                 epoch_loss += loss - _l2_penalty(model, batch_l2)
                 flat = (flatten_weights(model)
@@ -668,7 +652,8 @@ def train(corpus: TaggedCorpus, config: TrainConfig = TrainConfig(),
     final_loss = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for chosen in _batches(range(n_entries), lambda i: len(golds[i])):
-            final_loss = _batch_nll(model, [features[i] for i in chosen],
+            final_loss = _batch_nll(model, table,
+                                    [contexts[i] for i in chosen],
                                     [golds[i] for i in chosen], final_loss)
         final_loss += _l2_penalty(model, config.l2)
     if not np.isfinite(final_loss):

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import logsumexp
 
+from ornatag.errors import InputError
 from ornatag.rules import Firing
 from ornatag.score import (
     Melody,
@@ -279,7 +280,8 @@ def reference_firings(ruleset, melody, base):
 
 
 def reference_data_lines(text):
-    """``score.iter_data_lines`` as one comment regex split per line."""
+    """(line number, data, is_blank) per line that is blank or holds data,
+    by one comment regex split per line."""
     lines = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         if raw.strip() == "":
@@ -289,6 +291,48 @@ def reference_data_lines(text):
         if data:
             lines.append((lineno, data, False))
     return lines
+
+
+def reference_parse_corpus(text, tagset):
+    """``score.parse_corpus`` as one loop over the data lines, each token
+    parsed once per call and each error located at its line."""
+    entries = []
+    notes = []
+    states = []
+    interned = {}
+
+    def flush():
+        if notes:
+            entries.append((Melody(tuple(notes)), StateSequence(tuple(states))))
+            notes.clear()
+            states.clear()
+
+    for lineno, data, blank in reference_data_lines(text):
+        if blank:
+            flush()
+            continue
+        fields = data.split("\t")
+        if len(fields) == 1:
+            # tolerate space-separated pairs, but exactly two fields
+            fields = data.split()
+        if len(fields) != 2:
+            raise InputError(
+                f"expected 'note<TAB>tag', got {data!r}", line=lineno)
+        token, tag = fields
+        if token not in interned:
+            try:
+                interned[token] = parse_note(token)
+            except InputError as err:
+                err.line = lineno
+                raise
+        if tag not in tagset:
+            raise InputError(f"unknown tag {tag!r}", token=tag, line=lineno)
+        notes.append(interned[token])
+        states.append(tagset.index(tag))
+    flush()
+    if not entries:
+        raise InputError("corpus file contains no entries")
+    return TaggedCorpus(tagset, tuple(entries))
 
 
 def central_difference_gradient(fn, w, step=1e-5):

@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -261,6 +262,22 @@ class TestNumericSettings:
         assert code == 1
         assert "argument --melodies: invalid nonnegative integer value" in err
         assert not (tmp_path / "c.txt").exists()
+
+    @pytest.mark.parametrize("count", ["100001", "1000000000000"])
+    def test_synth_melodies_above_the_maximum_exit_1_at_once(
+            self, tmp_path, capsys, count):
+        """Before the maximum, a count of 10^12 ran until killed."""
+        started = time.perf_counter()
+        code, out, err = run_cli([
+            "synth", "--default", "--melodies", count, "--seed", "1",
+            "--out", str(tmp_path / "c.txt"),
+        ], capsys)
+        assert time.perf_counter() - started < 5.0
+        assert (code, out) == (1, "")
+        assert (f"argument --melodies: {count} is more than the maximum, "
+                "100000") in err
+        assert not (tmp_path / "c.txt").exists()
+        assert cli._MELODIES("100000") == 100_000  # the maximum itself
 
     @pytest.mark.parametrize("command", ["tag", "eval"])
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])

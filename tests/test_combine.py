@@ -16,12 +16,14 @@ from ornatag.combine import (
     tag_with_knowledge,
 )
 from ornatag.errors import ShapeMismatch
+from ornatag import rules as rules_module
 from ornatag.rules import (RuleSet, WeightMatrix, build_weight_matrix,
-                           collect_firings, parse_rules)
+                           collect_firings, fire_batch, parse_rules)
 from ornatag.score import (
     StateSequence,
     TagMatrix,
     TagSet,
+    number_notes,
     parse_melody,
     parse_tagset,
 )
@@ -287,6 +289,31 @@ class TestTagCorpus:
                                   oracles.reference_marginals(model, melody))
             assert tuple(got.base) == oracles.reference_viterbi(model, melody)
 
+    def test_notes_numbered_once_per_batch(self, monkeypatch):
+        """One numbering per batch serves the CRF and the rules, and the
+        firings equal those of ``fire_batch`` numbering on its own."""
+        monkeypatch.setattr(tagger_module, "_BATCH_CELLS", 16 * 39)
+        model, rules, melodies = self.corpus(35)
+        batches = list(tagger_module._batches(melodies))
+        numbered = []
+
+        def counting(batch):
+            numbered.append(len(batch))
+            return number_notes(batch)
+
+        for module in (combine_module, tagger_module, rules_module):
+            monkeypatch.setattr(module, "number_notes", counting)
+        results = list(tag_corpus(model, rules, melodies))
+        assert numbered == [len(batch) for batch in batches]
+        monkeypatch.undo()
+        fired = [firings for batch, start in zip(
+            batches, np.cumsum([0] + [len(b) for b in batches]))
+            for firings in fire_batch(
+                rules, batch,
+                [result.base for result in results[start:start + len(batch)]])]
+        assert [result.firing_log for result in results] == [
+            tuple(firings.records()) for firings in fired]
+
     def test_reads_at_most_one_batch_ahead(self, monkeypatch):
         """The stream is read one melody past the batch being yielded:
         the melody that did not fit."""
@@ -319,9 +346,9 @@ class TestTagCorpus:
         melodies = [oracles.random_melody(rng, n) for n in lengths]
         batches = []
 
-        def spy(model, batch, start):
+        def spy(model, batch, start, numbering):
             batches.append((len(batch), start))
-            return infer(model, batch, start)
+            return infer(model, batch, start, numbering)
 
         monkeypatch.setattr(combine_module, "infer", spy)
         results = list(tag_corpus(model, rules, melodies))

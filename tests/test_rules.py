@@ -19,6 +19,7 @@ from ornatag.rules import (
     collect_firings,
     fire,
     fire_batch,
+    _NUMBER_RE,
     parse_number,
     parse_rules,
     serialize_rules,
@@ -28,6 +29,7 @@ from ornatag.score import (
     StateSequence,
     TagSet,
     digit_limit,
+    exceeds_digit_limit,
     parse_corpus,
 )
 
@@ -355,6 +357,27 @@ class TestParseNumber:
         assert parse_number(f"1e{limit - 1}") == 10 ** (limit - 1)
         with pytest.raises(ValueError, match="not a number"):
             parse_number(f"1e{limit}")
+
+    @given(st.from_regex(_NUMBER_RE, fullmatch=True))
+    @example("0/7")
+    @example("12/0")
+    @example("00.0100e-0003")
+    @example("5e+20")
+    def test_equals_fraction_of_the_text(self, text):
+        """Built from the digit runs, the value is ``Fraction(text)``; a
+        zero denominator is a ValueError, as ``Fraction`` fails."""
+        if exceeds_digit_limit(text):  # Fraction(text) could take hours
+            with pytest.raises(ValueError, match="not a number"):
+                parse_number(text)
+            return
+        try:
+            want = Fraction(text)
+        except ZeroDivisionError:
+            with pytest.raises(ValueError, match="zero denominator"):
+                parse_number(text)
+        else:
+            got = parse_number(text)
+            assert type(got) is Fraction and got == want
 
 
 class TestRuleParserFuzz:

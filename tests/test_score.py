@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracles import reference_data_lines
+from oracles import reference_data_lines, reference_parse_corpus
 from ornatag.errors import InputError
 from ornatag.score import (
     Melody,
@@ -531,7 +531,9 @@ class TestParserFuzz:
     def test_data_lines_equal_one_comment_split_per_line(self, text):
         """Only lines with a '#' are split; every line reads as a comment
         split per line reads it."""
-        assert list(iter_data_lines(text)) == reference_data_lines(text)
+        assert list(iter_data_lines(text)) == [
+            (lineno, data) for lineno, data, blank
+            in reference_data_lines(text) if not blank]
 
     @given(st.sampled_from(_BAD),
            st.lists(st.one_of(st.sampled_from(_GOOD), st.none()),
@@ -550,3 +552,61 @@ class TestParserFuzz:
             with pytest.raises(type(want)) as info:
                 parse(text)
             assert (info.value.line, info.value.column) == (line, want.column)
+
+
+# corpus lines: well formed (tab, space-separated, padded, a comment
+# after a sharp), then corrupted (three fields, a bad note, an unknown
+# tag, a '#' that opens no comment), comment-only and whitespace-only
+_CORPUS_GOOD_LINES = tuple(
+    f"{token}\t{tag}" for token in _GOOD + ("C#4:1", "F#5:1/2")
+    for tag in _TAGS.tags) + (
+    "D4:1/2 trills", " \tC#4:1\tnone \x0b", "C#4:1  none",
+    "C#4:1\tnone # a C# comment", "F##5:4\ttrills\t#x")
+_CORPUS_BAD_LINES = tuple(f"{token}\tnone" for token in _BAD) + (
+    "C4:1\tnone\textra", "C4:1 none extra", "C4:1\t\tnone",
+    "C4:1 \tnone", "C4:1\t none", "C4:1\tvibrato", "C#4:1\tnone#x",
+    "C4:1", "x y z")
+_CORPUS_OTHER_LINES = ("# remark", "  # C#4:1\tnone", "", " ", "\t",
+                       "\x0b", "\u3000")
+
+
+def _corpus_texts(lines):
+    """Texts of the given lines, LF or CRLF ends, with or without a
+    final line end."""
+    return st.tuples(st.lists(lines, max_size=12), st.sampled_from(
+        ("\n", "\r\n")), st.booleans()).map(
+        lambda drawn: drawn[1].join(drawn[0]) + drawn[1] * drawn[2])
+
+
+def _outcome(parse, text):
+    """The corpus, or the error's message, line, column and token."""
+    try:
+        return parse(text, _TAGS)
+    except InputError as err:
+        return str(err), err.line, err.column, err.token
+
+
+class TestCorpusAgainstReference:
+    """``parse_corpus`` equals the per-line loop it replaced: the same
+    corpus, or the same first error at the same line and column."""
+
+    @given(_corpus_texts(st.sampled_from(_CORPUS_GOOD_LINES
+                                         + _CORPUS_OTHER_LINES)))
+    def test_valid_files(self, text):
+        assert (_outcome(parse_corpus, text)
+                == _outcome(reference_parse_corpus, text))
+
+    @given(_corpus_texts(st.sampled_from(
+        _CORPUS_GOOD_LINES + _CORPUS_BAD_LINES + _CORPUS_OTHER_LINES)))
+    @example("C4:1\tvibrato\nH4:1\tnone\n")  # unknown tag, then bad note
+    @example("C4:1\tnone\nH4:1\tvibrato\nC4:1\tvibrato\n")
+    @example("C#4:1\tnone\r\n \r\nD4:1\tnone")  # CRLF, no final end
+    @example("# C#4:1\tnone\n\u3000\nC#4:1\tnone # x\n\nD4:1 none")
+    def test_corrupted_files(self, text):
+        assert (_outcome(parse_corpus, text)
+                == _outcome(reference_parse_corpus, text))
+
+    @given(_TEXTS)
+    def test_arbitrary_text(self, text):
+        assert (_outcome(parse_corpus, text)
+                == _outcome(reference_parse_corpus, text))

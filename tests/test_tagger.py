@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from oracles import melody_from_tokens
@@ -192,13 +192,13 @@ def feature_context(melody, t):
     return note, before, after
 
 
-def expected_rows(vectorizer, melody):
-    """T x K indices of a per-position pass, unseen and padding at F."""
+def expected_rows(vectorizer, melody, width):
+    """T x ``width`` indices of a per-position pass, unseen and padding
+    at F."""
     F = len(vectorizer)
     rows = [[F if vectorizer.index(name) is None else vectorizer.index(name)
              for name in sorted(extract_features(melody, t))]
             for t in range(len(melody))]
-    width = max(map(len, rows))
     return np.array([row + [F] * (width - len(row)) for row in rows])
 
 
@@ -209,21 +209,29 @@ class TestCompiledFeatures:
     def test_matches_reference_vectorizer_and_indices(self, melodies, exclude):
         exclude = frozenset(exclude)
         reference = oracles.reference_vectorizer(melodies, exclude)
-        learned, learned_rows = _compile(melodies, exclude=exclude)
+        learned, learned_table, learned_ids = _compile(melodies,
+                                                       exclude=exclude)
         assert learned.feature_names == reference.feature_names
         assert (FeatureVectorizer.build(melodies, exclude).feature_names
                 == reference.feature_names)
         # a given vectorizer that misses names
         known = FeatureVectorizer(reference.feature_names[::2])
-        given_back, rows = _compile(melodies, known)
+        given_back, table, ids = _compile(melodies, known)
         assert given_back is known
         model = TaggerModel(oracles.random_tagset(2), known,
                             np.zeros((len(known), 2)), np.zeros((2, 2)),
                             TrainingMeta(0, 0.0, 0))
-        for melody, got, got_learned in zip(melodies, rows, learned_rows):
-            np.testing.assert_array_equal(got_learned,
-                                          expected_rows(reference, melody))
-            np.testing.assert_array_equal(got, expected_rows(known, melody))
+        # the last row, all sentinel, pads a batch grid; no context repeats
+        assert (table[-1] == len(known)).all()
+        assert len(np.unique(np.concatenate(ids))) == len(table) - 1
+        for melody, got_ids, got_learned_ids in zip(melodies, ids,
+                                                    learned_ids):
+            got, got_learned = table[got_ids], learned_table[got_learned_ids]
+            np.testing.assert_array_equal(
+                got_learned,
+                expected_rows(reference, melody, learned_table.shape[1]))
+            np.testing.assert_array_equal(
+                got, expected_rows(known, melody, table.shape[1]))
             assert got.dtype == np.int32
             assert ([row[row < len(known)].tolist() for row in got]
                     == oracles.reference_indices(model, melody))
@@ -250,13 +258,14 @@ class TestCompiledFeatures:
             return extract_features(melody, t)
 
         monkeypatch.setattr(tagger, "extract_features", counting)
-        vectorizer, rows = _compile(melodies)
-        assert len(calls) == len(set(calls)) == len(contexts)
+        vectorizer, table, ids = _compile(melodies)
+        assert len(calls) == len(set(calls)) == len(contexts) == len(table) - 1
         monkeypatch.undo()
         reference = oracles.reference_vectorizer(melodies)
         assert vectorizer.feature_names == reference.feature_names
-        for melody, got in list(zip(melodies, rows))[::37]:
-            np.testing.assert_array_equal(got, expected_rows(reference, melody))
+        for melody, got in list(zip(melodies, ids))[::37]:
+            np.testing.assert_array_equal(
+                table[got], expected_rows(reference, melody, table.shape[1]))
 
 
     def test_fresh_notes_compile_in_linear_time(self, monkeypatch):
@@ -290,13 +299,47 @@ class TestCompiledFeatures:
         monkeypatch.setattr(Note, "midi", property(counted_midi))
         monkeypatch.setattr(tagger, "extract_features", uncounted_features)
         started = time.perf_counter()
-        _, rows = _compile(melodies)
+        _, _, ids = _compile(melodies)
         elapsed = time.perf_counter() - started
         monkeypatch.undo()
         assert reads[0] == len({note for melody in melodies
                                 for note in melody})
         assert elapsed < 2.5
-        assert [len(row) for row in rows] == [32] * 2000
+        assert [len(row) for row in ids] == [32] * 2000
+
+
+class TestContextEmissions:
+    """Emissions summed once per context, then gathered over the batch
+    grid, against one per-position sum of weight rows."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1),
+           lengths=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+           h=st.integers(2, 10), scale=st.sampled_from([1.0, 1e300]))
+    @example(seed=0, lengths=[1], h=2, scale=1.0)  # a batch of one note
+    @example(seed=1, lengths=[30], h=10, scale=1.0)  # a batch of one
+    def test_bit_identical_to_reference_emissions(self, seed, lengths, h,
+                                                  scale):
+        """1-note melodies have wider rows than longer ones, and the
+        melodies after the first bring unseen features."""
+        rng = np.random.default_rng(seed)
+        melodies = [oracles.random_melody(rng, n) for n in lengths]
+        model = oracles.random_model(rng, melodies[0], h, scale)
+        _, table, contexts = _compile(melodies, model.vectorizer)
+        with np.errstate(over="ignore", invalid="ignore"):  # at 1e300
+            per_context = tagger._emissions(model.emission_weights, table)
+            rows, _, E = tagger._crf_pass(model, table, contexts)
+            for b, melody, ids in zip(rows, melodies, contexts):
+                T = len(melody)
+                want = oracles.reference_emissions(
+                    model, oracles.reference_indices(model, melody))
+                assert np.array_equal(per_context[ids], want, equal_nan=True)
+                assert np.array_equal(E[b, :T], want, equal_nan=True)
+                assert np.array_equal(emission_matrix(model, melody), want,
+                                      equal_nan=True)
+                assert not E[b, T:].any()  # the padding row reads zero
+        assert len(per_context) == len(table)
+        assert not per_context[-1].any()
 
 
 class TestPosteriorMarginals:
@@ -523,15 +566,14 @@ class TestBatchedRecursions:
 
     @staticmethod
     def assert_matches_references(model, melodies):
-        _, features = _compile(melodies, model.vectorizer)
+        _, table, contexts = _compile(melodies, model.vectorizer)
         Tr = model.transition_weights
         with np.errstate(all="ignore"):
-            rows, lengths, E = tagger._crf_pass(model, features)
+            rows, lengths, E = tagger._crf_pass(model, table, contexts)
             assert sorted(rows) == list(range(len(melodies)))
             assert np.all(lengths[:-1] >= lengths[1:])
-            log_alpha, log_beta, log_z = tagger._forward_backward(
-                E, Tr, lengths)
-            alpha_only, z_only = tagger._forward(E, Tr, lengths)
+            log_alpha, log_z = tagger._forward(E, Tr, lengths)
+            log_beta = tagger._backward(E, Tr, lengths, tagger._lse_core)
             paths = tagger._viterbi(E, Tr, lengths)
             for b, melody in zip(rows, melodies):
                 T = len(melody)
@@ -543,9 +585,6 @@ class TestBatchedRecursions:
                 got = (log_alpha[b, :T], log_beta[b, :T], log_z[b])
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w, equal_nan=True)
-                assert np.array_equal(alpha_only[b, :T], want[0],
-                                      equal_nan=True)
-                assert np.array_equal(z_only[b], want[2], equal_nan=True)
                 assert (tuple(paths[b, :T].tolist())
                         == oracles.reference_viterbi(model, melody))
 
@@ -686,13 +725,14 @@ class TestNllAndGradient:
         rng = np.random.default_rng(seed)
         melodies = [oracles.random_melody(rng, n) for n in lengths]
         model = oracles.random_model(rng, melodies[0], h)
-        _, features = _compile(melodies, model.vectorizer)
+        _, table, contexts = _compile(melodies, model.vectorizer)
         golds = [rng.integers(0, h, size=n) for n in lengths]
-        counts = np.zeros((model.num_features + 1) * h + h * h)
-        with_counts = tagger._batch_nll(model, features, golds, 0.5, counts)
+        counts = np.zeros((len(model.vectorizer) + 1) * h + h * h)
+        with_counts = tagger._batch_nll(model, table, contexts, golds, 0.5,
+                                        counts)
         with pytest.MonkeyPatch.context() as patch:
             patch.delattr(tagger, "_backward")
-            loss_only = tagger._batch_nll(model, features, golds, 0.5)
+            loss_only = tagger._batch_nll(model, table, contexts, golds, 0.5)
         assert loss_only == with_counts
 
     def test_gradient_shape_and_flattening(self):
@@ -700,7 +740,7 @@ class TestNllAndGradient:
         model = zero_model(melody, h=3)
         corpus = TaggedCorpus(model.tagset, ((melody, StateSequence((0, 1))),))
         _, gradient = nll_and_gradient(model, corpus, l2=0.0)
-        F = model.num_features
+        F = len(model.vectorizer)
         assert gradient.shape == (F * 3 + 9,)
         emissions, transitions = unflatten_weights(gradient, F, 3)
         # uniform expectations minus one gold count per position
