@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ShapeMismatch
-from .rules import Firing, Firings, RuleSet, WeightMatrix, _fire_numbered
+from .rules import Firing, Firings, RuleSet, WeightMatrix, fire_batch
 from .score import Melody, StateSequence, TagMatrix, TagSet, number_notes
 from .tagger import PredictionMatrix, TaggerModel, _batches, infer
 
@@ -83,10 +83,9 @@ def tag_corpus(model: TaggerModel, rules: RuleSet,
                             "than the model")
     start = 1
     for batch in _batches(melodies):
-        numbering = number_notes(batch)
-        inferred = infer(model, batch, start, numbering)
-        fired = _fire_numbered(rules, batch, [base for _, base in inferred],
-                               numbering)
+        numbered = number_notes(batch)
+        inferred = infer(model, batch, start, numbered)
+        fired = fire_batch(rules, numbered, [base for _, base in inferred])
         for (p2, base), firings in zip(inferred, fired):
             p1 = firings.weight_matrix()
             fused = combine(p1, p2)

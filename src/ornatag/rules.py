@@ -33,12 +33,14 @@ source order, then anchors left to right), so reordering rules changes
 ``p1`` only by floating-point rounding, and not at all when the
 weights are powers of two.
 
-:func:`fire_batch` fires a batch of melodies in one pass, each clause
-a boolean mask over the padded grid of melodies by positions, and each
-note test once per distinct note.  It numbers the batch's notes unless
-``combine.tag_corpus`` hands it those of its CRF pass, and keeps
-nothing from one call to the next.  Firings stay arrays
-(:class:`Firings`); :class:`Firing` records are built on demand.
+:func:`fire_batch` fires a batch of melodies in one pass over their
+:func:`number_notes` numbering, which ``combine.tag_corpus`` shares
+with its CRF pass.  Each rule is one boolean mask over the padded grid
+of melodies by positions, built and read before the next, so memory
+grows with the cells and the firings, not with rules times cells; each
+note test runs once per distinct note.  Nothing is kept from one call
+to the next.  Firings stay arrays (:class:`Firings`); :class:`Firing`
+records are built on demand.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ import numpy as np
 from .errors import InputError
 from .score import (
     Melody,
+    Note,
     StateSequence,
     TagMatrix,
     TagSet,
@@ -477,60 +480,33 @@ def _and_shifted(mask: np.ndarray, truth: np.ndarray, offset: int) -> None:
         mask[..., :-k] = False
 
 
-def fire_batch(ruleset: RuleSet, melodies: Sequence[Melody],
+def fire_batch(ruleset: RuleSet, numbered: tuple[list[Note], list[np.ndarray]],
                bases: Sequence[StateSequence]) -> list[Firings]:
     """Each melody's firings: every (rule, anchor) whose antecedent holds
     and whose target is in range, given its base path.
 
-    One pass over the batch's B x T grid, padded past each melody's end:
-    each rule's antecedent is one mask over the grid, the AND of its
-    clauses' masks shifted by their offsets, and every melody's firings
-    come out of one ``np.nonzero``.  A clause outside the melody is
-    false.  Note tests run exactly, on Python values, once per distinct
-    note of the batch.  Rules go in source order, anchors left to right.
+    ``numbered`` is :func:`number_notes` of the melodies, all that is
+    read of them.  Each rule is one mask over the batch's B x T grid,
+    padded past each melody's end and held alone, so memory does not
+    grow with the rule count: the anchors whose target is inside, ANDed
+    with each clause's truth shifted by its offset (false outside the
+    melody).  Note tests run exactly, on Python values, once per distinct
+    note.  Firings go by melody, then rule in source order, then anchor.
     """
-    return _fire_numbered(ruleset, melodies, bases, None)
-
-
-def _fire_numbered(ruleset: RuleSet, melodies: Sequence[Melody],
-                   bases: Sequence[StateSequence], numbering) -> list[Firings]:
-    """:func:`fire_batch`, given the melodies' :func:`number_notes` or None."""
-    if not melodies:
+    distinct, ids = numbered
+    if not ids:
         return []
-    lengths = [len(melody) for melody in melodies]
-    B, T = len(melodies), max(lengths)
+    lengths = [len(row) for row in ids]
+    B, T = len(ids), max(lengths)
     inside = np.arange(T) < np.array(lengths)[:, None]
-    clauses = [c for rule in ruleset for c in rule.clauses]
-    tests = [c for c in clauses if c.feature in _NOTE_ATTRS]
-    notes = iter(())  # the note tests' truth per grid cell, in order
-    if tests:
-        distinct, ids = numbering or number_notes(melodies)
-        # a column per distinct note, then an all-False one for padding
-        table = np.array([[_COMPARE[c.comparator](
-            getattr(note, _NOTE_ATTRS[c.feature]), c.value)
-            for note in distinct] + [False] for c in tests], dtype=bool)
-        grid = np.full((B, T), -1)
-        grid[inside] = np.concatenate(ids)
-        notes = (row.take(grid) for row in table)
-    if any(c.feature == "pred" for c in clauses):
-        pred = np.zeros((B, T), dtype=int)
-        pred[inside] = np.concatenate([base.tags for base in bases])
-    # offsets clipped into int64: a rule fires only where |offset| < T
-    line, tag, offset = np.array(
-        [(r.source_line, r.consequent_index,
-          max(-2**62, min(2**62, r.consequent_offset))) for r in ruleset],
-        dtype=int).reshape(-1, 3).T
-    weight = np.array([ruleset.effective_weight(r) for r in ruleset])
-    targets = {}  # consequent offset -> anchors whose target is inside
-    # melody, then rule, then anchor: each melody's firings are a slice
-    masks = np.empty((B, len(ruleset), T), dtype=bool)
-    for r, rule in enumerate(ruleset):
-        mask = masks[:, r]
-        consequent = rule.consequent_offset
-        if consequent not in targets:
-            targets[consequent] = inside.copy()
-            _and_shifted(targets[consequent], inside, consequent)
-        np.copyto(mask, targets[consequent])
+    grid = np.full((B, T), -1)  # -1: a note test's all-False last column
+    grid[inside] = np.concatenate(ids)
+    pred = np.zeros((B, T), dtype=int)
+    pred[inside] = np.concatenate([base.tags for base in bases])
+    cells = []  # per rule, the flat grid cells of its anchors
+    for rule in ruleset:
+        mask = inside.copy()
+        _and_shifted(mask, inside, rule.consequent_offset)
         for clause in rule.clauses:
             compare = _COMPARE[clause.comparator]
             if clause.feature == "pred":
@@ -538,20 +514,37 @@ def _fire_numbered(ruleset: RuleSet, melodies: Sequence[Melody],
             elif clause.feature == "position":
                 truth = compare(np.arange(T), min(clause.value, T)) & inside
             else:
-                truth = next(notes)
+                attr = _NOTE_ATTRS[clause.feature]
+                truth = np.array(
+                    [compare(getattr(note, attr), clause.value)
+                     for note in distinct] + [False], dtype=bool).take(grid)
             _and_shifted(mask, truth, clause.offset)
-    melody_at, rule_at, anchor = np.nonzero(masks)
+        cells.append(np.flatnonzero(mask))
+    rule_at = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
+    cells = np.concatenate([np.empty(0, dtype=np.intp), *cells])
+    # a stable sort by melody keeps rule, then anchor order within each
+    melody_at = (cells // T).astype(np.min_scalar_type(B))
+    order = melody_at.argsort(kind="stable")
+    bounds = np.bincount(melody_at, minlength=B).cumsum().tolist()
+    rule_at = rule_at[order]
+    anchor = cells[order] % T
+    del cells, order
+    # offsets clipped into int64: a rule fires only where |offset| < T
+    line, tag, offset = np.array(
+        [(r.source_line, r.consequent_index,
+          max(-2**62, min(2**62, r.consequent_offset))) for r in ruleset],
+        dtype=int).reshape(-1, 3).T
+    weight = np.array([ruleset.effective_weight(r) for r in ruleset])
     target = anchor + offset[rule_at]
     line, tag, weight = line[rule_at], tag[rule_at], weight[rule_at]
-    bounds = melody_at.searchsorted(range(B + 1)).tolist()
     return [Firings(ruleset.tagset, length, line[i:j], anchor[i:j],
                     target[i:j], tag[i:j], weight[i:j])
-            for length, i, j in zip(lengths, bounds, bounds[1:])]
+            for length, i, j in zip(lengths, [0, *bounds], bounds)]
 
 
 def fire(ruleset: RuleSet, melody: Melody, base: StateSequence) -> Firings:
     """:func:`fire_batch` on one melody."""
-    return fire_batch(ruleset, [melody], [base])[0]
+    return fire_batch(ruleset, number_notes([melody]), [base])[0]
 
 
 def collect_firings(ruleset: RuleSet, melody: Melody,

@@ -30,7 +30,7 @@ from .score import (
     digit_limit,
     exceeds_digit_limit,
 )
-from .tagger import duration_bucket
+from .tagger import _DURATION_BUCKETS, duration_bucket
 
 DEFAULT_TAGS = TagSet(("none", "trills", "fermata", "mordent"))
 
@@ -111,12 +111,18 @@ class SynthProfile:
         if not (np.all(markov >= 0)
                 and np.all(np.abs(markov.sum(axis=1) - 1) <= 1e-12)):
             raise InputError("tag_markov rows must be stochastic")
+        labels = [label for *_, label in _DURATION_BUCKETS]
         for tag, buckets in self.emission_bias.items():
             if tag not in self.tagset:
                 raise InputError(f"emission_bias names unknown tag {tag!r}")
             if not all(0 <= m < np.inf for m in buckets.values()):
                 raise InputError(
                     "emission_bias multipliers must be finite and nonnegative")
+            unknown = [label for label in buckets if label not in labels]
+            if unknown:
+                raise InputError(
+                    f"emission_bias for tag {tag!r} names unknown duration "
+                    f"bucket {unknown[0]!r}; expected one of {labels}")
         length_lo, length_hi = self.melody_length_range
         if not 1 <= length_lo <= length_hi <= _MAX_LENGTH:
             raise InputError(

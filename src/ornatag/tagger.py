@@ -57,16 +57,16 @@ from .errors import InputError, ShapeMismatch
 from .score import (Melody, StateSequence, TaggedCorpus, TagMatrix, TagSet,
                     number_notes)
 
-# (numerator, denominator, label) of each bucket's inclusive upper bound
+# (numerator, denominator, label) of each bucket's inclusive upper bound;
+# the last bound, 1/0, is infinity
 _DURATION_BUCKETS = (
     (1, 4, "(0,1/4]"),
     (1, 2, "(1/4,1/2]"),
     (1, 1, "(1/2,1]"),
     (2, 1, "(1,2]"),
     (3, 1, "(2,3]"),
+    (1, 0, "(3,inf)"),
 )
-
-_LAST_BUCKET = "(3,inf)"
 
 
 def duration_bucket(duration: Fraction) -> str:
@@ -78,9 +78,8 @@ def duration_bucket(duration: Fraction) -> str:
     """
     n, d = duration.numerator, duration.denominator
     for upper_n, upper_d, label in _DURATION_BUCKETS:
-        if n * upper_d <= upper_n * d:
+        if n * upper_d <= upper_n * d:  # true at the last bound, 1/0
             return label
-    return _LAST_BUCKET
 
 
 def _sign(delta: int) -> str:

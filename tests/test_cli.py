@@ -1169,8 +1169,12 @@ class TestSynth:
         ('{"melody_length_range": [9223372036854775807, '
          '9223372036854775807]}', "melody_length_range"),
         ('{"melody_length_range": [true, 3]}', "melody_length_range"),
+        ('{"emission_bias": {"trills": {"(3,4]": 30.0, "long": 5}}}',
+         "emission_bias for tag 'trills' names unknown duration bucket "
+         "'(3,4]'"),
     ], ids=["huge-int", "deep-nesting", "ragged-markov", "null-bias",
-            "nan-pool", "non-grammar-keys", "int64-length", "bool-length"])
+            "nan-pool", "non-grammar-keys", "int64-length", "bool-length",
+            "unknown-bucket"])
     def test_bad_profile_value_exits_2(self, tmp_path, capsys, text, named):
         """Each bad profile value is located input, never exit 3."""
         profile = tmp_path / "p.json"

@@ -290,26 +290,33 @@ class TestTagCorpus:
             assert tuple(got.base) == oracles.reference_viterbi(model, melody)
 
     def test_notes_numbered_once_per_batch(self, monkeypatch):
-        """One numbering per batch serves the CRF and the rules, and the
-        firings equal those of ``fire_batch`` numbering on its own."""
+        """One numbering per batch serves the CRF and the rules, which
+        fire through the public ``fire_batch`` once per batch, and the
+        firings equal those of ``fire_batch`` on a fresh numbering."""
         monkeypatch.setattr(tagger_module, "_BATCH_CELLS", 16 * 39)
         model, rules, melodies = self.corpus(35)
         batches = list(tagger_module._batches(melodies))
-        numbered = []
+        numbered, fired_batches = [], []
 
         def counting(batch):
             numbered.append(len(batch))
             return number_notes(batch)
 
+        def firing(ruleset, numbering, bases):
+            fired_batches.append(len(bases))
+            return fire_batch(ruleset, numbering, bases)
+
         for module in (combine_module, tagger_module, rules_module):
             monkeypatch.setattr(module, "number_notes", counting)
+        monkeypatch.setattr(combine_module, "fire_batch", firing)
         results = list(tag_corpus(model, rules, melodies))
         assert numbered == [len(batch) for batch in batches]
+        assert fired_batches == [len(batch) for batch in batches]
         monkeypatch.undo()
         fired = [firings for batch, start in zip(
             batches, np.cumsum([0] + [len(b) for b in batches]))
             for firings in fire_batch(
-                rules, batch,
+                rules, number_notes(batch),
                 [result.base for result in results[start:start + len(batch)]])]
         assert [result.firing_log for result in results] == [
             tuple(firings.records()) for firings in fired]

@@ -1,13 +1,14 @@
 """Rule DSL parsing, rule firing, and weight-matrix construction."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracles import melody_from_tokens, reference_firings
+from oracles import melody_from_tokens, random_melody, reference_firings
 from ornatag.errors import InputError
 from ornatag.rules import (
     FEATURES,
@@ -30,6 +31,7 @@ from ornatag.score import (
     TagSet,
     digit_limit,
     exceeds_digit_limit,
+    number_notes,
     parse_corpus,
 )
 
@@ -735,7 +737,7 @@ class TestFireBatch:
         ruleset = parse_rules("".join(f"{l}\n" for l in lines), TAGS)
         melodies = [melody for melody, _ in batch]
         bases = [base for _, base in batch]
-        fired = fire_batch(ruleset, melodies, bases)
+        fired = fire_batch(ruleset, number_notes(melodies), bases)
         assert len(fired) == len(batch)
         for firings, melody, base in zip(fired, melodies, bases):
             assert firings.length == len(melody)
@@ -745,7 +747,8 @@ class TestFireBatch:
     def test_empty_ruleset_fires_nothing(self):
         melodies = [melody_from_tokens(["C4:1"] * n) for n in (3, 1, 5)]
         bases = [StateSequence((0,) * len(m)) for m in melodies]
-        fired = fire_batch(RuleSet(TAGS, ()), melodies, bases)
+        fired = fire_batch(RuleSet(TAGS, ()), number_notes(melodies),
+                           bases)
         assert [(f.length, f.records()) for f in fired] == [
             (3, []), (1, []), (5, [])]
 
@@ -754,7 +757,45 @@ class TestFireBatch:
         "IF pred(@t-1) == trills AND position(@t) > 1 THEN tag(@t) = none",
     ])
     def test_empty_batch_fires_nothing(self, line):
-        assert fire_batch(parse_rules(line + "\n", TAGS), [], []) == []
+        assert fire_batch(parse_rules(line + "\n", TAGS),
+                          number_notes([]), []) == []
+
+
+class TestFireBatchMemory:
+    """Firing holds one mask over the batch's grid at a time, never one
+    per rule: its peak grows with the cells, not with rules x cells."""
+
+    NEVER = parse_rules(
+        "IF duration(@t) > 100 THEN tag(@t) = trills\n"
+        "IF midi(@t-1) > 127 AND position(@t) > 1 THEN tag(@t) = fermata\n"
+        "IF octave(@t+1) > 20 THEN tag(@t) = none\n"
+        "IF pred(@t) == trills AND step(@t) != C AND step(@t) == C "
+        "THEN tag(@t-1) = mordent\n", TAGS).rules
+
+    def peak(self, numbered, bases, copies):
+        ruleset = RuleSet(TAGS, self.NEVER * copies)
+        tracemalloc.start()
+        try:
+            fired = fire_batch(ruleset, numbered, bases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(firings.records() for firings in fired)
+        return peak
+
+    def test_peak_does_not_grow_with_rule_count(self):
+        """A batch shaped like the benchmark's: 72 melodies of 80 to 160
+        notes.  2,000 rules that never fire peak at most 4x as high as 12
+        (about 2.3x); a rules x cells mask stack peaks near 60x."""
+        rng = np.random.default_rng(5)
+        melodies = [random_melody(rng, int(n))
+                    for n in rng.integers(80, 161, 72)]
+        bases = [StateSequence(tuple(rng.integers(0, 4, len(m)).tolist()))
+                 for m in melodies]
+        numbered = number_notes(melodies)
+        few = self.peak(numbered, bases, 3)
+        many = self.peak(numbered, bases, 500)
+        assert many <= 4 * few, (few, many)
 
 
 class TestOrderIndependence:

@@ -545,11 +545,13 @@ class TestParseProfile:
          '9223372036854775807]}', "melody_length_range"),
         ('{"melody_length_range": [true, 3]}', "melody_length_range"),
         ('{"pitch_range": [60, true]}', "pitch_range"),
+        ('{"emission_bias": {"trills": {"(3,4]": 30.0, "long": 5}}}',
+         "emission_bias"),
     ], ids=["huge-int", "int-tags", "str-markov", "ragged-markov", "str-bias",
             "null-bias", "nan-markov", "nan-pool", "arabic-digit-key",
             "underscore-key", "signed-spaced-key", "no-int-part-key",
             "no-fraction-part-key", "negative-key", "int64-length",
-            "bool-length", "bool-pitch"])
+            "bool-length", "bool-pitch", "unknown-bucket"])
     def test_bad_values_name_their_key(self, text, key):
         with pytest.raises(InputError, match=key):
             parse_profile(text)
