@@ -36,6 +36,7 @@ MIDI_MIN = 12
 MIDI_MAX = 127
 
 _TAG_RE = re.compile(r"[a-z0-9_]+\Z")
+_DURATION_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?\Z")
 
 
 def midi_number(step: str, alteration: int, octave: int) -> int:
@@ -294,17 +295,17 @@ def exceeds_digit_limit(number: str) -> bool:
 
 
 def _parse_duration(token: str, pos: int) -> Fraction:
-    match = re.match(r"([0-9]+)(?:/([0-9]+))?\Z", token[pos:])
+    match = _DURATION_RE.match(token, pos)
     if not match:
         raise InputError(
             f"expected a duration 'int' or 'int/int': {token!r}",
             token=token, column=pos + 1)
-    if any(exceeds_digit_limit(run) for run in match.groups() if run):
+    numerator, denominator = match.groups("1")  # no denominator: /1
+    if exceeds_digit_limit(numerator) or exceeds_digit_limit(denominator):
         raise InputError(
             f"duration has more than {digit_limit()} digits in a row",
             column=pos + 1)
-    num = int(match.group(1))
-    den = int(match.group(2)) if match.group(2) else 1
+    num, den = int(numerator), int(denominator)
     if den == 0:
         raise InputError(
             f"zero denominator: {token!r}", token=token, column=pos + 1)

@@ -28,19 +28,19 @@ BOS/EOS, into and out of it; table row c holds the int32 indices of
 its features in sorted name order, extracted once.  Unseen features
 and the padding of short rows point at a sentinel index F (the feature
 count), whose weight row is zero.  Emissions are summed once per
-context, K gathers and adds with no branch, then gathered over the
-B x T grid of context ids, padded longest melody first.  The
-recursions run over the B x T x H batch, at each step only over the
-prefix of rows still inside their melody; one backward pass
-(:func:`_backward`) gives both log beta and the Viterbi suffix maxima.
-A loss without a gradient (``train``'s final loss) runs the alpha
-recursion alone, in batches of at most ``_BATCH_CELLS`` padded cells,
-as ``combine.tag_corpus`` does.  ``train`` learns its vectorizer in the
-pass that compiles the corpus.  Gradients are scattered with
-``np.add.at`` in the order of the per-position loop it replaced, and
-numpy reduces every batch row as it reduced the single melody, so
-models, marginals and paths are bit-identical to the per-melody
-loops'.
+context, then gathered over the grid of context ids, padded longest
+melody first and stored time-major: a step's live rows are one block.
+Each recursion step lays its terms out as H (reduced) x rows x H
+(kept), so every reduce is H - 1 vectorised passes over axis 0.  One
+loop (:func:`_alpha_beta`) runs forward step s and backward step
+T - 1 - s through one log-sum-exp; a loss without a gradient
+(``train``'s final loss, in batches of at most ``_BATCH_CELLS`` padded
+cells) is that loop with no backward rows.  Viterbi's suffix-max pass
+runs first, so its array is freed before alpha and beta exist.  Sums
+keep the per-melody loops' order, term by term forward and numpy's
+pairwise order backward (:func:`_pairwise_sum`), and gradients are
+scattered with ``np.add.at`` in per-position order, so models,
+marginals and paths are bit-identical to the per-melody loops'.
 """
 
 from __future__ import annotations
@@ -266,25 +266,51 @@ def emission_matrix(model: TaggerModel, melody: Melody) -> np.ndarray:
     return _emissions(model.emission_weights, table)[contexts]
 
 
-def _lse_core(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along ``axis``, in place in ``a``; the caller
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in numpy's order for a contiguous run: one by one
+    below 8 terms, 8 strided partial sums combined pairwise up to 128,
+    halves split at a multiple of 8 above: ``np.add.reduce(x, axis=-1)``
+    bit for bit (-0.0 sums aside) for x = terms.T made C-contiguous.
+    """
+    n = len(terms)
+    if n < 8:
+        return np.add.reduce(terms, axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    part = terms[:8].copy()
+    for i in range(8, n - n % 8, 8):
+        part += terms[i:i + 8]
+    total = ((part[0] + part[1]) + (part[2] + part[3])) + (
+        (part[4] + part[5]) + (part[6] + part[7]))
+    for term in terms[n - n % 8:]:
+        total += term
+    return total
+
+
+def _lse(work: np.ndarray, sequential: int) -> np.ndarray:
+    """log(sum(exp(work))) over axis 0, in place in ``work``; the caller
     silences floating-point warnings.
 
     The maximal terms are taken out of the sum and added back through
     ``log1p``, the same sequence of operations as scipy 1.17's
     ``logsumexp`` for real input, so results match it bit for bit
-    without its per-call dispatch cost.  scipy's fallback to the direct
+    without its per-call dispatch cost.  Columns (axis 1) before
+    ``sequential`` sum term by term, as numpy sums a strided axis, the
+    rest pairwise, as a contiguous one.  scipy's fallback to the direct
     formula is left out: a finite max gives a finite result, and a max
     of +-inf or NaN already gives the direct formula's.
     """
-    top = np.maximum.reduce(a, axis=axis, keepdims=True)
-    ties = a == top
-    count = np.add.reduce(ties, axis=axis, keepdims=True, dtype=float)
-    np.subtract(a, top, out=a)
-    np.copyto(a, -np.inf, where=ties)
-    total = np.add.reduce(np.exp(a, out=a), axis=axis, keepdims=True)
+    top = np.maximum.reduce(work, axis=0)
+    ties = work == top
+    count = np.add.reduce(ties, axis=0, dtype=float)
+    np.subtract(work, top, out=work)
+    np.putmask(work, ties, -np.inf)
+    total = np.add.reduce(np.exp(work, out=work), axis=0)
+    if len(work) >= 8:  # below 8 terms both orders are term by term
+        total[sequential:] = _pairwise_sum(work[:, sequential:])
     total /= count
-    return (np.log1p(total) + np.log(count) + top).squeeze(axis)
+    return np.log1p(total) + np.log(count) + top
 
 
 def _live(lengths: np.ndarray, T: int) -> list[int]:
@@ -295,72 +321,63 @@ def _live(lengths: np.ndarray, T: int) -> list[int]:
     return np.searchsorted(-lengths, -np.arange(T)).tolist()
 
 
-def _backward(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray,
-              reduce) -> np.ndarray:
-    """B x T x H backward values of a batch padded longest first, held at
-    zero from each entry's last position on.
+def _alpha_beta(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray,
+                backward: bool = True):
+    """Log alpha, log beta (B x T x H) and log Z (B,) of a batch padded
+    longest first; without ``backward``, log beta has no rows.
 
-    Each step reduces transition + next emission + next value over the
-    next tag, ``v[t] = reduce(Tr + E[t + 1] + v[t + 1], 2)``, for the
-    rows whose melody reaches t + 1: a prefix of the batch.
-    :func:`_lse_core` gives log beta, and ``np.maximum.reduce`` the best
-    suffix score after each (t, k).  The caller sets ``errstate``.
+    Step s takes alpha to position s for the rows whose melody reaches
+    s, and beta back to T - 1 - s for those reaching T - s, through one
+    :func:`_lse` of an H x rows x H work array: alpha[s - 1, j] + Tr[j, k]
+    at (j, row, k), then Tr[j, k] + (E + beta)[T - s, k] at (k, row, j).
+    log Z is read at each entry's last position.  Alpha past an entry's
+    length is never written; beta is zero from its last position on.
     """
     B, T, H = E.shape
     live = _live(lengths, T)
-    work = np.empty((B, H, H))  # each step's terms, overwritten by reduce
-    ahead = np.empty((B, H))
-    v = np.zeros((B, T, H))
-    for t in range(T - 2, -1, -1):
-        n = live[t + 1]
-        np.add(E[:n, t + 1], v[:n, t + 1], out=ahead[:n])
-        v[:n, t] = reduce(np.add(Tr, ahead[:n, None, :], out=work[:n]), 2)
-    return v
-
-
-def _forward(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray):
-    """Log alpha (B x T x H) and log Z (B,) of a batch padded longest first.
-
-    Step t extends the rows whose melody reaches t, a prefix of the
-    batch; each entry's log Z is read at its last position.  Values past
-    an entry's length are never written.
-    """
-    B, T, H = E.shape
-    live = _live(lengths, T)
-    work = np.empty((B, H, H))  # each step's terms, overwritten by the core
-    log_alpha = np.empty((B, T, H))
+    log_alpha = np.empty((T, B, H)).transpose(1, 0, 2)
     log_alpha[:, 0] = E[:, 0]
+    log_beta = np.zeros((T, B * backward, H)).transpose(1, 0, 2)
     with np.errstate(all="ignore"):
-        for t in range(1, T):
-            n = live[t]
-            terms = np.add(log_alpha[:n, t - 1, :, None], Tr, out=work[:n])
-            np.add(E[:n, t], _lse_core(terms, 1), out=log_alpha[:n, t])
-        log_z = _lse_core(log_alpha[np.arange(B), lengths - 1], 1)
-    return log_alpha, log_z
+        for s in range(1, T):
+            f = live[s]
+            b = live[T - s] if backward else 0
+            work = np.empty((H, f + b, H))
+            np.add(log_alpha[:f, s - 1].T[:, :, None], Tr[:, None],
+                   out=work[:, :f])
+            ahead = E[:b, T - s] + log_beta[:b, T - s]
+            np.add(Tr.T[:, None], ahead.T[:, :, None], out=work[:, f:])
+            lse = _lse(work, f)
+            np.add(E[:f, s], lse[:f], out=log_alpha[:f, s])
+            log_beta[:b, T - 1 - s] = lse[f:]
+        last = log_alpha[np.arange(B), lengths - 1]
+        log_z = _lse(np.ascontiguousarray(last.T), 0)
+    return log_alpha, log_beta, log_z
 
 
 def _viterbi(E: np.ndarray, Tr: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """B x T best paths of a batch padded longest first; ties go to the
     smallest sequence.
 
-    With the best suffix score of every (t, k) from :func:`_backward`,
-    selects greedily from the front, at step t for the rows whose melody
-    reaches t.  Greedy forward selection over suffix maxima yields the
-    lexicographically smallest argmax path, which forward Viterbi with
-    backpointers does not guarantee.  Path values past an entry's length
-    are meaningless.
+    A backward pass adds to E[t, j] the best suffix score after (t, j),
+    the max over axis 0 of Tr[j, k] + best[t + 1, k] at (k, row, j), and
+    greedy selection from the front, over the rows still inside their
+    melody, yields the lexicographically smallest argmax path, which
+    forward Viterbi with backpointers does not guarantee.  Path values
+    past an entry's length are meaningless.
     """
     B, T, H = E.shape
     live = _live(lengths, T)
-    best = _backward(E, Tr, lengths, np.maximum.reduce)
-    best += E
-    step = np.empty((B, H))
+    best = E.copy(order="K")  # time-major, as E
+    for t in range(T - 2, -1, -1):
+        n = live[t + 1]
+        terms = np.add(Tr.T[:, None], best[:n, t + 1].T[:, :, None])
+        best[:n, t] += np.maximum.reduce(terms, axis=0)
     path = np.empty((B, T), dtype=int)
     path[:, 0] = best[:, 0].argmax(axis=1)
     for t in range(1, T):
         n = live[t]
-        path[:n, t] = np.add(Tr[path[:n, t - 1]], best[:n, t],
-                             out=step[:n]).argmax(axis=1)
+        path[:n, t] = (Tr[path[:n, t - 1]] + best[:n, t]).argmax(axis=1)
     return path
 
 
@@ -380,7 +397,8 @@ def _crf_pass(model: TaggerModel, table: np.ndarray,
         lengths = lengths[order]
         rows = np.argsort(order).tolist()
         grid = _pad(contexts, len(table) - 1, rows)
-    return rows, lengths, _emissions(model.emission_weights, table)[grid]
+    E = _emissions(model.emission_weights, table)[grid.T]
+    return rows, lengths, E.transpose(1, 0, 2)
 
 
 # padded cells (melodies x longest length) per batch of tag_corpus and of
@@ -410,7 +428,8 @@ def infer(model: TaggerModel, melodies: Sequence[Melody], start: int = 1,
     """Posterior marginals and Viterbi path of each melody, in one batch.
 
     The melodies are compiled once and their emissions built once over
-    the padded batch; forward-backward and Viterbi then share them.
+    the padded batch; Viterbi runs first, then one loop gives alpha and
+    beta, a forward and a backward step per H x rows x H work array.
     Each melody's H x T marginals are renormalized to pin their column
     sums, and its path is the maximum-scoring one, smallest index
     sequence among ties.  Marginals that are not finite, from weights
@@ -424,9 +443,8 @@ def infer(model: TaggerModel, melodies: Sequence[Melody], start: int = 1,
     rows, lengths, E = _crf_pass(model, table, contexts)
     Tr = model.transition_weights
     paths = _viterbi(E, Tr, lengths)  # first: its B x T x H array is freed
-    log_alpha, log_z = _forward(E, Tr, lengths)
-    with np.errstate(all="ignore"):
-        log_beta = _backward(E, Tr, lengths, _lse_core)
+    log_alpha, log_beta, log_z = _alpha_beta(E, Tr, lengths)
+    del E  # freed before the marginals are built
     results = []
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for number, (b, ids) in enumerate(zip(rows, contexts), start):
@@ -487,7 +505,8 @@ def _batch_nll(model: TaggerModel, table: np.ndarray,
     Tr = model.transition_weights
     F, H = model.emission_weights.shape
     rows, lengths, E = _crf_pass(model, table, contexts)
-    log_alpha, log_z = _forward(E, Tr, lengths)
+    log_alpha, log_beta, log_z = _alpha_beta(E, Tr, lengths,
+                                             counts is not None)
     gold = _pad(golds, 0, rows)
     gold_steps = np.take_along_axis(E, gold[:, :, None], axis=2)[:, :, 0]
     gold_steps[:, 1:] += Tr[gold[:, :-1], gold[:, 1:]]
@@ -498,8 +517,6 @@ def _batch_nll(model: TaggerModel, table: np.ndarray,
         loss += terms[b]
     if counts is None:
         return loss
-    with np.errstate(all="ignore"):
-        log_beta = _backward(E, Tr, lengths, _lse_core)
     tags = np.arange(H)
     pairs = (F + 1) * H + np.arange(H * H)
     for b, ids, g in zip(rows, contexts, golds):

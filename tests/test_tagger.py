@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 import zlib
 from dataclasses import replace
 from fractions import Fraction
@@ -406,19 +407,27 @@ class TestPosteriorMarginals:
 
 
 def _logsumexp(a, axis):
-    """The tagger's log-sum-exp core on a copy of ``a``, warnings silenced."""
+    """The tagger's log-sum-exp core over ``axis`` of a copy of ``a``,
+    summed in the order numpy sums that axis (pairwise when it is the
+    contiguous last one), warnings silenced."""
+    a = np.asarray(a, dtype=float)
+    work = np.moveaxis(a, axis, 0).reshape(a.shape[axis], -1).copy()
+    sequential = 0 if axis == a.ndim - 1 else work.shape[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return tagger._lse_core(np.array(a, dtype=float), axis)
+        got = tagger._lse(work, sequential)
+    return got.reshape(np.delete(a.shape, axis))
 
 
 class TestLogSumExp:
     """The tagger's log-sum-exp reduction against scipy's."""
 
     def test_bit_identical_to_scipy(self):
+        """Square h x h inputs up to h = 20, so sums over the contiguous
+        axis take numpy's 8-accumulator path too."""
         from scipy.special import logsumexp
         rng = np.random.default_rng(0)
         for i in range(600):
-            h = int(rng.integers(1, 6))
+            h = int(rng.integers(1, 21))
             a = rng.normal(scale=rng.choice([1e-3, 1.0, 800.0]), size=(h, h))
             if i % 3 == 0:
                 a[-1] = a[0]
@@ -431,6 +440,40 @@ class TestLogSumExp:
                     _logsumexp(a, axis=axis), logsumexp(a, axis=axis))
             np.testing.assert_array_equal(
                 _logsumexp(a[0], axis=0), logsumexp(a[0]))
+
+    @pytest.mark.parametrize("n", [129, 300])
+    def test_long_run_bit_identical_to_scipy(self, n):
+        """One 1-d run long enough that numpy sums it in halves."""
+        from scipy.special import logsumexp
+        rng = np.random.default_rng(n)
+        for scale in (1e-3, 1.0, 800.0):
+            a = rng.normal(scale=scale, size=n)
+            a[7] = a[n // 2]
+            np.testing.assert_array_equal(_logsumexp(a, axis=0), logsumexp(a))
+
+
+class TestPairwiseSum:
+    """The backward sums' order helper against numpy's own reduce over a
+    contiguous axis: one by one below 8 terms, 8 accumulators up to 128,
+    halves above."""
+
+    def test_bit_identical_to_numpy(self):
+        rng = np.random.default_rng(0)
+        reordered = 0
+        for n in range(1, 301):
+            x = rng.normal(size=(6, n)) * 10.0 ** rng.integers(-8, 9, (6, n))
+            x[1, rng.integers(0, n)] = np.inf
+            x[2, rng.integers(0, n)] = -np.inf
+            x[3, rng.integers(0, n)] = np.nan
+            x[4, rng.integers(0, n, 2)] = [np.inf, -np.inf]
+            terms = np.ascontiguousarray(x.T)
+            with np.errstate(invalid="ignore"):
+                want = np.add.reduce(x, axis=-1)
+                got = tagger._pairwise_sum(terms)
+                in_order = np.add.reduce(terms, axis=0)
+            assert np.array_equal(got, want, equal_nan=True), n
+            reordered += not np.array_equal(in_order, want, equal_nan=True)
+        assert reordered > 250  # a term-by-term sum would not pass
 
 
 class TestViterbi:
@@ -572,8 +615,7 @@ class TestBatchedRecursions:
             rows, lengths, E = tagger._crf_pass(model, table, contexts)
             assert sorted(rows) == list(range(len(melodies)))
             assert np.all(lengths[:-1] >= lengths[1:])
-            log_alpha, log_z = tagger._forward(E, Tr, lengths)
-            log_beta = tagger._backward(E, Tr, lengths, tagger._lse_core)
+            log_alpha, log_beta, log_z = tagger._alpha_beta(E, Tr, lengths)
             paths = tagger._viterbi(E, Tr, lengths)
             for b, melody in zip(rows, melodies):
                 T = len(melody)
@@ -634,6 +676,26 @@ class TestBatchedRecursions:
         # built from the first melody: the others bring unseen features
         model = oracles.random_model(rng, melodies[0], h, scale)
         self.assert_matches_references(model, melodies)
+
+
+class TestInferMemory:
+    """infer frees the Viterbi suffix maxima before alpha and beta are
+    allocated, and the emissions before the marginals are built."""
+
+    def test_peak_within_five_batch_arrays(self):
+        """72 melodies of 256 notes, H = 4: the peak stays within 4.8
+        B x T x H float arrays (about 3.9 here); keeping the suffix
+        maxima or the emissions alive adds one more."""
+        rng = np.random.default_rng(7)
+        melodies = [oracles.random_melody(rng, 256) for _ in range(72)]
+        model = oracles.random_model(rng, melodies[0], h=4)
+        tracemalloc.start()
+        try:
+            infer(model, melodies)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.8 * 72 * 256 * 4 * 8, peak
 
 
 class TestNllAndGradient:
@@ -720,7 +782,7 @@ class TestNllAndGradient:
            lengths=st.lists(st.integers(1, 30), min_size=1, max_size=8),
            h=st.integers(2, 6))
     def test_loss_only_pass_equals_the_gradient_pass(self, seed, lengths, h):
-        """``_batch_nll`` without counts runs no backward pass, and adds
+        """``_batch_nll`` without counts runs no backward step, and adds
         the same terms in the same order."""
         rng = np.random.default_rng(seed)
         melodies = [oracles.random_melody(rng, n) for n in lengths]
@@ -730,10 +792,22 @@ class TestNllAndGradient:
         counts = np.zeros((len(model.vectorizer) + 1) * h + h * h)
         with_counts = tagger._batch_nll(model, table, contexts, golds, 0.5,
                                         counts)
+        lse, reduced = tagger._lse, []
+
+        def recording(work, sequential):
+            reduced.append((work.shape[1], sequential))
+            return lse(work, sequential)
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.delattr(tagger, "_backward")
+            patch.setattr(tagger, "_lse", recording)
             loss_only = tagger._batch_nll(model, table, contexts, golds, 0.5)
         assert loss_only == with_counts
+        # every step reduces forward rows alone, one per melody still
+        # inside it; the last call is log Z's, one row per melody
+        *steps, last = reduced
+        assert all(rows == forward for rows, forward in steps)
+        assert sum(rows for rows, _ in steps) == sum(lengths) - len(lengths)
+        assert last == (len(lengths), 0)
 
     def test_gradient_shape_and_flattening(self):
         melody = melody_from_tokens(["C4:1", "D4:1"])
