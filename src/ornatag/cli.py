@@ -17,10 +17,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .combine import tag_corpus, tag_with_knowledge
+from .combine import _tag_batches, tag_with_knowledge
 from .errors import InputError, OrnatagError
-from .metrics import count_satisfied, evaluate, format_metrics
+from .metrics import _score, format_metrics
 from .model_io import MAGIC, load_model, save_model
 from .rules import RuleSet, parse_number, parse_rules
 from .score import (
@@ -208,12 +210,12 @@ def cmd_eval(args) -> int:
     total = 0
     melodies = (melody for melody, _ in corpus)
     with _naming(args.model):  # weights too large for a melody
-        for result in tag_corpus(model, ruleset, melodies):
-            predictions.append(result.final)
-            hits, firings = count_satisfied(result.final, result.firings)
-            matched += hits
-            total += firings
-    metrics = evaluate(predictions, corpus)
+        for tagged in _tag_batches(model, ruleset, melodies):
+            predictions.append(tagged.tags())
+            hits = tagged.satisfied()
+            matched += int(np.count_nonzero(hits))
+            total += len(hits)
+    metrics = _score(corpus, np.concatenate(predictions))
     if args.rules:
         metrics = replace(
             metrics, rule_satisfaction=matched / total if total else 1.0)

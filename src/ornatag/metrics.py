@@ -48,10 +48,15 @@ def evaluate(pred: Sequence[StateSequence], gold: TaggedCorpus) -> Metrics:
         if len(sequence) != len(states):
             raise InputError(
                 f"prediction length {len(sequence)} != gold length {len(states)}")
+    return _score(gold, np.fromiter(chain.from_iterable(pred), int))
+
+
+def _score(gold: TaggedCorpus, pred: np.ndarray) -> Metrics:
+    """:func:`evaluate` of ``pred``, every predicted tag entry by entry,
+    whose lengths match ``gold``'s; the counts are one ``np.bincount``."""
     h = len(gold.tagset)
-    counts = np.zeros((h, h), dtype=int)
-    np.add.at(counts, (np.fromiter(chain.from_iterable(s for _, s in gold), int),
-                       np.fromiter(chain.from_iterable(pred), int)), 1)
+    truth = np.fromiter(chain.from_iterable(s for _, s in gold), int)
+    counts = np.bincount(truth * h + pred, minlength=h * h).reshape(h, h)
     total = counts.sum()
     if total == 0:
         raise InputError("no tokens to evaluate")

@@ -459,7 +459,11 @@ class Firings:
                         self.weight.tolist()))
 
     def weight_matrix(self) -> WeightMatrix:
-        """Ones, each firing's cell times its weight, one firing at a time."""
+        """Ones, each firing's cell times its weight, one firing at a time.
+
+        The plain float product: a product out of float range overflows
+        or fails the strictly positive check, where ``tag_corpus``
+        saturates (see ``ornatag.combine``)."""
         values = np.ones((len(self.tagset), self.length))
         np.multiply.at(values, (self.tag_index, self.target), self.weight)
         return WeightMatrix(values)
@@ -481,9 +485,10 @@ def _and_shifted(mask: np.ndarray, truth: np.ndarray, offset: int) -> None:
 
 
 def fire_batch(ruleset: RuleSet, numbered: tuple[list[Note], list[np.ndarray]],
-               bases: Sequence[StateSequence]) -> list[Firings]:
+               bases: Sequence[StateSequence | np.ndarray]) -> list[Firings]:
     """Each melody's firings: every (rule, anchor) whose antecedent holds
-    and whose target is in range, given its base path.
+    and whose target is in range, given its base path (a StateSequence
+    or an array of tag indices).
 
     ``numbered`` is :func:`number_notes` of the melodies, all that is
     read of them.  Each rule is one mask over the batch's B x T grid,
@@ -502,7 +507,7 @@ def fire_batch(ruleset: RuleSet, numbered: tuple[list[Note], list[np.ndarray]],
     grid = np.full((B, T), -1)  # -1: a note test's all-False last column
     grid[inside] = np.concatenate(ids)
     pred = np.zeros((B, T), dtype=int)
-    pred[inside] = np.concatenate([base.tags for base in bases])
+    pred[inside] = np.concatenate(bases)
     cells = []  # per rule, the flat grid cells of its anchors
     for rule in ruleset:
         mask = inside.copy()

@@ -25,9 +25,10 @@ Training and inference share one compiled, batched path.  A batch of
 melodies compiles into a context table and each melody's context ids.
 A context is a note (numbered by value) with the interval sign, or
 BOS/EOS, into and out of it; table row c holds the int32 indices of
-its features in sorted name order, extracted once.  Unseen features
-and the padding of short rows point at a sentinel index F (the feature
-count), whose weight row is zero.  Emissions are summed once per
+its features in the sorted name order of :func:`extract_features`,
+spliced from names made once per distinct note and once per pair of
+edges.  Unseen features and the padding of short rows point at a
+sentinel index F (the feature count), whose weight row is zero.  Emissions are summed once per
 context, then gathered over the grid of context ids, padded longest
 melody first and stored time-major: a step's live rows are one block.
 Each recursion step lays its terms out as H (reduced) x rows x H
@@ -36,9 +37,11 @@ loop (:func:`_alpha_beta`) runs forward step s and backward step
 T - 1 - s through one log-sum-exp; a loss without a gradient
 (``train``'s final loss, in batches of at most ``_BATCH_CELLS`` padded
 cells) is that loop with no backward rows.  Viterbi's suffix-max pass
-runs first, so its array is freed before alpha and beta exist.  Sums
-keep the per-melody loops' order, term by term forward and numpy's
-pairwise order backward (:func:`_pairwise_sum`), and gradients are
+runs first, so its array is freed before alpha and beta exist, and the
+marginals of the whole batch are built in log alpha's buffer
+(:func:`_infer_grid`, which ``combine.tag_corpus`` reads).  Sums keep
+the per-melody loops' order, term by term forward and numpy's pairwise
+order backward and over H (:func:`_pairwise_sum`), and gradients are
 scattered with ``np.add.at`` in per-position order, so models,
 marginals and paths are bit-identical to the per-melody loops'.
 """
@@ -48,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -194,6 +197,20 @@ class PredictionMatrix(TagMatrix):
             raise ValueError("entries must lie in [0, 1]")
 
 
+# the names of a context's edges, columns 0 to 9 of _compile's name table;
+# for each pair of edge codes (into, out) at 4 * into + out: the pos and
+# prev_interval_sign columns in sorted order, padded with -1, and how
+# many pos names there are
+_EDGE_COLUMNS = {name: i for i, name in enumerate(
+    [f"next_interval_sign={s}" for s in ("-", "0", "+", "EOS")]
+    + ["pos=BOS", "pos=EOS"]
+    + [f"prev_interval_sign={s}" for s in ("-", "0", "+", "BOS")])}
+_MIDDLE = np.array([([4] * (into == 3) + [5] * (out == 3) + [6 + into]
+                     + [-1, -1])[:3] for into, out in product(range(4),
+                                                             repeat=2)])
+_POS = (_MIDDLE >= 0).sum(axis=1) - 1
+
+
 def _compile(melodies: Iterable[Melody],
              vectorizer: FeatureVectorizer | None = None,
              exclude: frozenset[str] = frozenset(), numbering=None
@@ -202,9 +219,14 @@ def _compile(melodies: Iterable[Melody],
 
     ``numbering`` is :func:`number_notes` of the melodies when the caller
     has it.  One ``np.unique`` over the positions' context keys finds
-    the contexts, numbered as first met.  The table's last row, all
-    sentinel, pads a batch grid.  Without a ``vectorizer`` one is learned
-    in the same pass: every name not in ``exclude``, indexed as first met.
+    the contexts, numbered as first met.  A row is spliced from parts in
+    the sorted-name layout of :func:`extract_features`: the note's alt
+    and durbucket names, the next_interval_sign name, its octave name,
+    the pos names and the prev_interval_sign name, then its step name.
+    Note names are made once per distinct note and edge names once per
+    pair of edges.  The table's last row, all sentinel, pads a batch
+    grid.  Without a ``vectorizer`` one is learned in the same pass:
+    every name not in ``exclude``, indexed as first met.
     """
     melodies = list(melodies)
     notes, note_ids = numbering or number_notes(melodies)
@@ -219,20 +241,32 @@ def _compile(melodies: Iterable[Melody],
     edge[bounds[1:-1]] = 3
     keys = (ids * 16 + edge[:-1] * 4 + edge[1:]).astype(
         np.min_scalar_type(16 * len(notes)))  # small keys sort by radix
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    keys, first, inverse = np.unique(keys, return_index=True,
+                                     return_inverse=True)
     order = np.argsort(first)  # the contexts as first met
-    at = first[order]  # and the position where each is first met
-    melody_at = np.searchsorted(bounds, at, side="right") - 1
-    names = [sorted(extract_features(melodies[m], t)) for m, t
-             in zip(melody_at.tolist(), (at - bounds[melody_at]).tolist())]
+    note, pair = np.divmod(keys[order].astype(int), 16)
+    # each distinct name is a column: the edge names, then the note names
+    # as made; -1 pads a row
+    column = dict(_EDGE_COLUMNS)
+    parts = np.array([[column.setdefault(name, len(column)) for name in (
+        f"alt={n.alteration}", f"durbucket={duration_bucket(n.duration_ql)}",
+        f"octave={n.octave}", f"step={n.step}")] for n in notes],
+        dtype=int).reshape(-1, 4)
+    rows = np.full((len(pair) + 1, 8), -1)  # and the padding row
+    rows[:-1, [0, 1, 3]] = parts[note, :3]
+    rows[:-1, 2] = pair % 4  # next_interval_sign: the edge out
+    rows[:-1, 4:7] = _MIDDLE[pair]
+    rows[np.arange(len(pair)), 5 + _POS[pair]] = parts[note, 3]
+    names = list(column)
     if vectorizer is None:
-        vectorizer = FeatureVectorizer(dict.fromkeys(
-            name for row in names for name in row if name not in exclude))
+        seen, at = np.unique(rows, return_index=True)
+        vectorizer = FeatureVectorizer(
+            names[c] for c in seen[np.argsort(at)].tolist()
+            if c >= 0 and names[c] not in exclude)
     index, F = vectorizer._indices.get, len(vectorizer)
-    rows = [[index(name, F) for name in row] for row in names]
-    # the rows and the padding row [], padded in one transpose
-    table = np.array(list(zip_longest(*rows, [], fillvalue=F)),
-                     dtype=np.int32).reshape(-1, len(rows) + 1).T
+    lookup = np.array([index(name, F) for name in names] + [F],
+                      dtype=np.int32)  # -1 reads F
+    table = lookup[rows[:, :6 + int(_POS[pair].max(initial=0))]]
     context = np.argsort(order)[inverse]
     return vectorizer, table, [context[i:j] for i, j in zip(b, b[1:])]
 
@@ -267,14 +301,17 @@ def emission_matrix(model: TaggerModel, melody: Melody) -> np.ndarray:
 
 
 def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 in numpy's order for a contiguous run: one by one
+    """Sum over axis 0 in numpy's order for a contiguous run: term by term
     below 8 terms, 8 strided partial sums combined pairwise up to 128,
     halves split at a multiple of 8 above: ``np.add.reduce(x, axis=-1)``
     bit for bit (-0.0 sums aside) for x = terms.T made C-contiguous.
     """
     n = len(terms)
-    if n < 8:
-        return np.add.reduce(terms, axis=0)
+    if n < 8:  # term by term, as a vectorised add per term
+        total = terms[0].copy()
+        for term in terms[1:]:
+            total += term
+        return total
     if n > 128:
         half = n // 2 - n // 2 % 8
         return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
@@ -423,21 +460,18 @@ def _batches(items: Iterable, length: Callable = len) -> Iterator[list]:
         yield batch
 
 
-def infer(model: TaggerModel, melodies: Sequence[Melody], start: int = 1,
-          numbering=None) -> list[tuple[PredictionMatrix, StateSequence]]:
-    """Posterior marginals and Viterbi path of each melody, in one batch.
+def _infer_grid(model: TaggerModel, melodies: Sequence[Melody],
+                start: int = 1, numbering=None):
+    """(rows, lengths, paths, p2) of a non-empty batch padded longest
+    first, as :func:`_crf_pass` gives rows and lengths.
 
-    The melodies are compiled once and their emissions built once over
-    the padded batch; Viterbi runs first, then one loop gives alpha and
-    beta, a forward and a backward step per H x rows x H work array.
-    Each melody's H x T marginals are renormalized to pin their column
-    sums, and its path is the maximum-scoring one, smallest index
-    sequence among ties.  Marginals that are not finite, from weights
-    too large for float range, raise InputError naming the melody by
-    its number, counting from ``start``.  ``numbering``: see _compile.
+    ``paths`` are the B x T Viterbi paths and ``p2`` the B x T x H
+    marginals, ``exp(log alpha + log beta - log Z)`` built in log
+    alpha's buffer and renormalized over H to pin the sums; padding
+    cells read 1.  Marginals that are not finite, from weights too
+    large for float range, raise InputError naming the first such
+    melody by its number, counting from ``start``.
     """
-    if not melodies:
-        return []
     _, table, contexts = _compile(melodies, model.vectorizer,
                                   numbering=numbering)
     rows, lengths, E = _crf_pass(model, table, contexts)
@@ -445,19 +479,45 @@ def infer(model: TaggerModel, melodies: Sequence[Melody], start: int = 1,
     paths = _viterbi(E, Tr, lengths)  # first: its B x T x H array is freed
     log_alpha, log_beta, log_z = _alpha_beta(E, Tr, lengths)
     del E  # freed before the marginals are built
-    results = []
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for number, (b, ids) in enumerate(zip(rows, contexts), start):
-            T = len(ids)
-            marginals = np.exp(log_alpha[b, :T] + log_beta[b, :T] - log_z[b]).T
-            # exact within float error already; renormalize to pin column sums
-            marginals /= marginals.sum(axis=0, keepdims=True)
-            if not np.isfinite(marginals).all():
-                raise InputError(f"posteriors of melody {number} are not "
-                                 "finite: the model's weights are too large")
-            results.append((PredictionMatrix(marginals),
-                            StateSequence(tuple(paths[b, :T].tolist()))))
-    return results
+    # in log alpha's time-major buffer, T x B x H, as the recursions store it
+    p2 = log_alpha.transpose(1, 0, 2)
+    with np.errstate(all="ignore"):  # checked below; padding is garbage
+        p2 += log_beta.transpose(1, 0, 2)
+        del log_beta
+        p2 -= log_z[:, None]
+        np.exp(p2, out=p2)
+        # numpy's order for a sum over H, without its per-cell reduce
+        p2 /= _pairwise_sum(p2.transpose(2, 0, 1))[:, :, None]
+    for b, T in enumerate(lengths.tolist()):
+        p2[T:, b] = 1.0
+    p2 = log_alpha  # B x T x H
+    if not np.isfinite(p2.sum()):  # entries are nonnegative or NaN
+        finite = np.isfinite(p2).all(axis=(1, 2))[rows]
+        raise InputError(f"posteriors of melody {start + finite.argmin()} "
+                         "are not finite: the model's weights are too large")
+    return rows, lengths, paths, p2
+
+
+def infer(model: TaggerModel, melodies: Sequence[Melody], start: int = 1,
+          numbering=None) -> list[tuple[PredictionMatrix, StateSequence]]:
+    """Posterior marginals and Viterbi path of each melody, in one batch.
+
+    The melodies are compiled once and their emissions built once over
+    the padded batch; Viterbi runs first, then one loop gives alpha and
+    beta, a forward and a backward step per H x rows x H work array, and
+    the marginals are built over the whole batch (:func:`_infer_grid`).
+    Each melody's H x T marginals are a view of the batch's, with column
+    sums pinned, and its path is the maximum-scoring one, smallest index
+    sequence among ties.  Marginals that are not finite, from weights
+    too large for float range, raise InputError naming the melody by
+    its number, counting from ``start``.  ``numbering``: see _compile.
+    """
+    if not melodies:
+        return []
+    rows, lengths, paths, p2 = _infer_grid(model, melodies, start, numbering)
+    return [(PredictionMatrix(p2[b, :T].T),
+             StateSequence(tuple(paths[b, :T].tolist())))
+            for b, T in zip(rows, lengths[rows].tolist())]
 
 
 def posterior_marginals(model: TaggerModel, melody: Melody) -> PredictionMatrix:

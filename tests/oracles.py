@@ -279,6 +279,29 @@ def reference_firings(ruleset, melody, base):
     return firings
 
 
+def reference_fusion(p2, firings):
+    """Exact p1 and p1 * p2 of one melody, H x T lists of Fractions.
+
+    ``p2`` is the H x T float prediction matrix and ``firings`` a list
+    of Firing records; each float is read as the exact value it holds,
+    so nothing rounds and nothing leaves range.
+    """
+    H, T = p2.shape
+    p1 = [[Fraction(1)] * T for _ in range(H)]
+    for firing in firings:
+        p1[firing.tag_index][firing.target] *= Fraction(firing.weight)
+    fused = [[p1[k][t] * Fraction(float(p2[k, t])) for t in range(T)]
+             for k in range(H)]
+    return p1, fused
+
+
+def reference_decode(fused):
+    """Per-column argmax of exact scores, the smallest index among ties."""
+    H, T = len(fused), len(fused[0])
+    return tuple(max(range(H), key=lambda k: (fused[k][t], -k))
+                 for t in range(T))
+
+
 def reference_data_lines(text):
     """(line number, data, is_blank) per line that is blank or holds data,
     by one comment regex split per line."""

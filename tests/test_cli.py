@@ -25,8 +25,11 @@ from hypothesis import given, settings, strategies as st
 
 from ornatag import cli, tagger
 from ornatag.cli import main, parse_config
+from ornatag.combine import tag_with_knowledge
 from ornatag.errors import InputError
+from ornatag.metrics import count_satisfied, evaluate, format_metrics
 from ornatag.model_io import load_model, save_model
+from ornatag.rules import parse_rules
 from ornatag.score import (
     StateSequence,
     TaggedCorpus,
@@ -772,17 +775,20 @@ def spliced(valid: bytes):
         lambda cut: valid[:cut[0]] + cut[2] + valid[cut[0] + cut[1]:])
 
 
+# any weight or confidence a rule file or flag accepts: finite, above 0
+_ANY_WEIGHT = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+_FUZZ_CLAUSES = ("duration(@t) > 0", "duration(@t) > 3", "pred(@t) == none",
+                 "pred(@t-1) != trills", "position(@t) < 2")
+
+
 class TestMainFuzz:
     """``main`` never returns 3 when one input file holds arbitrary bytes
-    and every other file is valid.
-
-    Rule files are left out on purpose: two ``WEIGHT 1e-200`` firings on
-    one cell still underflow p1 to 0, which exits 3.  That is the open
-    fusion defect in ROADMAP.md, not a parser fault.
+    and every other file is valid, and returns 0 on every valid rule file
+    and H1/H2 flag, weights and confidences from the whole accepted range.
     """
 
-    @pytest.mark.parametrize("kind", ["melody", "corpus", "tagset", "config",
-                                      "profile", "model"])
+    @pytest.mark.parametrize("kind", ["melody", "corpus", "tagset", "rules",
+                                      "config", "profile", "model"])
     @settings(deadline=None)
     @given(data=st.data())
     def test_exit_code_is_never_3(self, inputs, kind, data):
@@ -795,6 +801,36 @@ class TestMainFuzz:
                 contextlib.redirect_stderr(stderr):
             code = main(argv_reading(kind, dict(inputs, **{kind: fuzz}), out))
         assert code in (0, 2), stderr.getvalue()
+
+    @settings(deadline=None)
+    @given(rules=st.lists(st.tuples(st.sampled_from(_FUZZ_CLAUSES),
+                                    st.sampled_from(["none", "trills",
+                                                     "fermata", "mordent"]),
+                                    st.none() | _ANY_WEIGHT),
+                          min_size=1, max_size=6),
+           h1=st.none() | _ANY_WEIGHT, h2=st.none() | _ANY_WEIGHT,
+           command=st.sampled_from(["tag", "eval"]))
+    def test_valid_rules_and_confidences_exit_0(self, inputs, rules, h1, h2,
+                                                command):
+        f = {name: str(path) for name, path in inputs.items()}
+        fuzz = inputs["model"].parent / "fuzz-valid.rules"
+        fuzz.write_text("".join(
+            f"IF {clause} THEN tag(@t) = {tag}"
+            + ("" if weight is None else f" WEIGHT {weight!r}") + "\n"
+            for clause, tag, weight in rules))
+        argv = (["tag", "--melody", f["melody"], "--explain", "--out",
+                 str(inputs["model"].parent / "fuzz.out")]
+                if command == "tag" else ["eval", "--corpus", f["corpus"]])
+        argv += ["--model", f["model"], "--rules", str(fuzz)]
+        for flag, value in (("--h1", h1), ("--h2", h2)):
+            if value is not None:
+                argv += [flag, repr(value)]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        assert code == 0, stderr.getvalue()
 
 
 def perfect_model(tmp_path):
@@ -991,8 +1027,89 @@ class TestWeightsOutOfFloatRange:
         assert not out.exists()
 
 
+class TestRuleWeightsOutOfFloatRange:
+    """Rule weights and confidences whose products leave float range:
+    ``tag`` exits 0 with the exact argmax and no warning.  The firings
+    land on E5:4, the third note, where the README model's p2 reads
+    about 0.281 none, 0.243 trills, 0.238 fermata and 0.239 mordent."""
+
+    def third_tag(self, readme_pipeline, tmp_path, capsys, rules, *flags):
+        melody = tmp_path / "tune.melody"
+        melody.write_text("C5:1 D5:1/2 E5:4 F5:1/2 G5:2\n")
+        rule_file = tmp_path / "probe.rules"
+        rule_file.write_text("".join(
+            f"IF duration(@t) > 3 THEN tag(@t) = {rule}\n" for rule in rules))
+        out = tmp_path / "out.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, stdout, err = run_cli(
+                ["tag", "--model", str(readme_pipeline / "model.txt"),
+                 "--melody", str(melody), "--rules", str(rule_file), *flags,
+                 "--out", str(out)], capsys)
+        assert (code, stdout, err) == (0, "", "")
+        return out.read_text().splitlines()[2]
+
+    def test_overflowing_products_decode_the_larger(
+            self, readme_pipeline, tmp_path, capsys):
+        """About 1e400 x 0.238 for fermata against 1e500 x 0.239 for
+        mordent: mordent."""
+        rules = ["fermata WEIGHT 1e200", "fermata WEIGHT 1e200",
+                 "mordent WEIGHT 1e200", "mordent WEIGHT 1e300"]
+        assert self.third_tag(readme_pipeline, tmp_path, capsys,
+                              rules) == "E5:4\tmordent"
+
+    def test_underflowing_product_decodes(self, readme_pipeline, tmp_path,
+                                          capsys):
+        """Two 1e-200 firings put fermata near 1e-400: none stays top."""
+        rules = ["fermata WEIGHT 1e-200"] * 2
+        assert self.third_tag(readme_pipeline, tmp_path, capsys,
+                              rules) == "E5:4\tnone"
+
+    @pytest.mark.parametrize("h1, tag", [("1e-200", "none"),
+                                         ("1e200", "fermata")])
+    def test_extreme_default_confidence(self, readme_pipeline, tmp_path,
+                                        capsys, h1, tag):
+        """Two rules without a WEIGHT take H1 twice on fermata's cell."""
+        assert self.third_tag(readme_pipeline, tmp_path, capsys,
+                              ["fermata"] * 2, "--h1", h1) == f"E5:4\t{tag}"
+
+
 class TestEvalPipeline:
     """The README quick-start's stored outputs, and eval's feature pass."""
+
+    @pytest.mark.parametrize("cells, batches", [(16 * 40, 20), (2**15, 1)])
+    def test_counts_equal_per_melody_counts(self, readme_pipeline, tmp_path,
+                                            capsys, monkeypatch, cells,
+                                            batches):
+        """``eval --rules`` counts tags and satisfied firings over each
+        batch's arrays: its JSON equals ``evaluate`` and
+        ``count_satisfied`` over ``tag_with_knowledge`` results, with
+        the corpus in many batches and in one."""
+        monkeypatch.setattr(tagger, "_BATCH_CELLS", cells)
+        model = load_model(readme_pipeline / "model.txt")
+        corpus = parse_corpus((readme_pipeline / "corpus.txt").read_text(),
+                              model.tagset)
+        assert len(list(tagger._batches(m for m, _ in corpus))) == batches
+        rules = tmp_path / "eval.rules"
+        rules.write_text(
+            "IF duration(@t) > 1 THEN tag(@t) = trills WEIGHT 1.5\n"
+            "IF pred(@t-1) == trills THEN tag(@t) = none WEIGHT 0.7\n"
+            "IF duration(@t) <= 1/2 AND duration(@t+1) > 1 "
+            "THEN tag(@t+1) = mordent WEIGHT 3\n")
+        code, out, _ = run_cli(["eval", "--model", str(readme_pipeline /
+                                                       "model.txt"),
+                                "--corpus", str(readme_pipeline / "corpus.txt"),
+                                "--rules", str(rules)], capsys)
+        assert code == 0
+        ruleset = parse_rules(rules.read_text(), model.tagset)
+        results = [tag_with_knowledge(model, ruleset, melody)
+                   for melody, _ in corpus]
+        counts = [count_satisfied(r.final, r.firings) for r in results]
+        matched, total = map(sum, zip(*counts))
+        assert 0 < matched < total
+        metrics = replace(evaluate([r.final for r in results], corpus),
+                          rule_satisfaction=matched / total)
+        assert out == format_metrics(metrics, model.tagset)
 
     @pytest.mark.parametrize("rules, golden", [
         (True, "readme_eval_rules.json"),
@@ -1054,18 +1171,26 @@ class TestEvalPipeline:
 
     def test_features_extracted_once_per_token(self, workdir, tmp_path,
                                                capsys, monkeypatch):
-        """eval extracts features once per distinct context in the corpus.
+        """eval compiles one feature row per distinct context in the
+        corpus, spliced from note and edge names, with no call to
+        ``extract_features``.
 
         A context is a note with the sign of the interval into it (or
         BOS) and out of it (or EOS).  The corpus is one inference batch.
         Its last melody writes one note as two tokens, C4:1 and C4:2/2,
         in one context, so equal notes share it.
         """
-        calls = []
+        calls, tables = [], []
+        compile_features = tagger._compile
 
         def counting(melody, t):
             calls.append(feature_context(melody, t))
             return extract_features(melody, t)
+
+        def compiling(*args, **kwargs):
+            compiled = compile_features(*args, **kwargs)
+            tables.append(compiled[1])
+            return compiled
 
         text = ((workdir / "corpus.txt").read_text() + "\n" + "".join(
             f"{token}\tnone\n" for token in
@@ -1083,13 +1208,14 @@ class TestEvalPipeline:
         rules = tmp_path / "eval.rules"
         rules.write_text("IF duration(@t) > 1 THEN tag(@t) = trills\n")
         monkeypatch.setattr(tagger, "extract_features", counting)
+        monkeypatch.setattr(tagger, "_compile", compiling)
         code, _, _ = run_cli([
             "eval", "--model", str(workdir / "model.txt"),
             "--corpus", str(corpus_path), "--rules", str(rules),
         ], capsys)
         assert code == 0
-        assert len(calls) == len(set(calls)) == len(contexts)
-        assert set(calls) == contexts
+        assert calls == []
+        assert [len(table) - 1 for table in tables] == [len(contexts)]
 
 
 class TestSynth:

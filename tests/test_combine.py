@@ -1,9 +1,13 @@
 """Hadamard fusion, per-column decoding, and the full tagging pipeline."""
 
+import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, note, settings, strategies as st
 
 import oracles
 from ornatag import combine as combine_module
@@ -30,7 +34,6 @@ from ornatag.score import (
 from ornatag.tagger import (
     PredictionMatrix,
     TrainConfig,
-    infer,
     posterior_marginals,
     train,
     viterbi_decode,
@@ -353,11 +356,13 @@ class TestTagCorpus:
         melodies = [oracles.random_melody(rng, n) for n in lengths]
         batches = []
 
+        infer_grid = combine_module._infer_grid
+
         def spy(model, batch, start, numbering):
             batches.append((len(batch), start))
-            return infer(model, batch, start, numbering)
+            return infer_grid(model, batch, start, numbering)
 
-        monkeypatch.setattr(combine_module, "infer", spy)
+        monkeypatch.setattr(combine_module, "_infer_grid", spy)
         results = list(tag_corpus(model, rules, melodies))
         assert batches == [(8, 1), (1, 9)]
         self.assert_equals_tag_with_knowledge(model, rules, melodies, results)
@@ -371,6 +376,134 @@ class TestTagCorpus:
         other = RuleSet(TagSet(("x", "y")), ())
         with pytest.raises(ShapeMismatch):
             list(tag_corpus(model, other, melodies))
+
+
+class TestTagCorpusMemory:
+    """A ``tag_corpus`` batch holds its marginals, p1 and product, and
+    frees the recursions' arrays before it builds them."""
+
+    def test_peak_within_seven_batch_arrays(self):
+        """72 melodies of 256 notes, H = 4, 0.44 firings a B x T x H
+        cell: the peak of tagging the batch stays within 7 B x T x H
+        float arrays.  It reads about 6.5: p2, p1, the product, the
+        paths and tags (3.5) and the firings' five columns (2.2), with
+        each firing's cell; keeping one more B x T x H array fails."""
+        rng = np.random.default_rng(7)
+        melodies = [oracles.random_melody(rng, 256) for _ in range(72)]
+        model = oracles.random_model(rng, melodies[0], h=4)
+        rules = parse_rules("IF duration(@t) > 0 THEN tag(@t) = tag1 WEIGHT 3\n"
+                            "IF pred(@t-1) == tag0 THEN tag(@t) = tag2\n"
+                            "IF duration(@t) >= 1 THEN tag(@t+1) = tag3\n",
+                            model.tagset)
+        tracemalloc.start()
+        try:
+            next(tag_corpus(model, rules, melodies))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 72 * 256 * 4 * 8, peak
+
+
+# weights and default confidences from 1e-300 to 1e300, and a few at the
+# ends of the accepted range: 9e-308 keeps p1 normal and takes p1 * p2
+# below it, the other two leave it in one factor
+_WEIGHTS = (st.floats(min_value=1e-300, max_value=1e300)
+            | st.sampled_from([9e-308, 5e-324, 1.7e308]))
+_ANTECEDENTS = ("duration(@t) > 0", "duration(@t) >= 1", "pred(@t) == none",
+                "position(@t) < 3")
+# exact top two scores closer than this many ulps (relative) are left out:
+# the float product rounds once per factor
+_MARGIN = Fraction(1 + 64 * 2.0 ** -52)
+
+
+def _float_p1(shape, firings):
+    """The float p1 in firing order, and where every partial product of
+    a cell stayed a normal float."""
+    p1, normal = np.ones(shape), np.ones(shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for firing in firings:
+            p1[firing.tag_index, firing.target] *= firing.weight
+            normal[firing.tag_index, firing.target] &= (
+                np.finfo(float).tiny <= p1[firing.tag_index, firing.target]
+                < np.inf)
+    return p1, normal
+
+
+def _close(value, exact):
+    """``value`` is ``exact`` to 16 ulps, saturated out of float range:
+    inf above it, the smallest subnormal below its normal range."""
+    error = Fraction(16, 2**52)
+    if value == np.inf:
+        return exact > Fraction(np.finfo(float).max) * (1 - error)
+    if exact < Fraction(np.finfo(float).tiny):
+        return value == np.nextafter(0.0, 1.0)
+    return abs(Fraction(float(value)) - exact) <= exact * error
+
+
+@pytest.fixture(scope="module")
+def fusion_model():
+    return trained_pipeline(seed=7)[0]
+
+
+class TestExactFusion:
+    """Fusion against exact products of the float weights and ``p2``
+    (``oracles.reference_fusion``), weights and H1/H2 drawn from 1e-300
+    to 1e300 and the ends of float range, up to eight firings a cell."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(rules=st.lists(st.tuples(st.sampled_from(_ANTECEDENTS),
+                                    st.sampled_from(TAGS4.tags),
+                                    st.none() | _WEIGHTS),
+                          min_size=1, max_size=8),
+           h1=_WEIGHTS, h2=_WEIGHTS, seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1.0, 2000.0, 6000.0]))
+    def test_decode_is_the_exact_argmax(self, fusion_model, rules, h1, h2,
+                                        seed, scale):
+        """Columns whose exact top two differ by more than 64 ulps decode
+        to the exact argmax (the test notes how many were compared), and
+        ``p1`` equals ``build_weight_matrix`` bit for bit on every melody
+        whose float partial products stay normal: elsewhere p1 and the
+        product saturate as the module docstring says, and no product
+        below the normal range is exposed rounded.  Emission weights
+        scaled by up to 6000 put ``p2`` down to subnormals and 0."""
+        model = replace(fusion_model, emission_weights=scale
+                        * fusion_model.emission_weights)
+        text = f"H1 {h1!r}\nH2 {h2!r}\n" + "".join(
+            f"IF {clause} THEN tag(@t) = {tag}"
+            + ("" if weight is None else f" WEIGHT {weight!r}") + "\n"
+            for clause, tag, weight in rules)
+        ruleset = parse_rules(text, model.tagset)
+        rng = np.random.default_rng(seed)
+        melodies = [oracles.random_melody(rng, int(n))
+                    for n in rng.integers(1, 11, size=3)]
+        compared = columns = 0
+        for melody, result in zip(melodies, tag_corpus(model, ruleset,
+                                                       melodies)):
+            p2 = result.p2.values
+            p1, fused = oracles.reference_fusion(p2, result.firing_log)
+            exact = oracles.reference_decode(fused)
+            for t in range(len(melody)):
+                top, second = sorted((row[t] for row in fused),
+                                     reverse=True)[:2]
+                columns += 1
+                if top > second * _MARGIN:
+                    compared += 1
+                    assert result.final[t] == exact[t]
+            float_p1, normal = _float_p1(p2.shape, result.firing_log)
+            if normal.all():  # the float path's p1
+                assert np.array_equal(result.p1.values, build_weight_matrix(
+                    ruleset, melody, result.base).values)
+            assert np.array_equal(result.p1.values[normal], float_p1[normal])
+            for k, t in zip(*np.nonzero(~normal)):
+                assert _close(result.p1.values[k, t], p1[k][t])
+            for k, t in np.ndindex(p2.shape):
+                value = result.combined.values[k, t]
+                if fused[k][t] >= Fraction(np.finfo(float).tiny):
+                    assert _close(value, fused[k][t])
+                else:  # 0, or a subnormal p2 times an exact 1: never rounded
+                    assert value == 0 or (p1[k][t] == 1 and value == p2[k, t])
+        note(f"compared {compared} of {columns} columns")
+        assert compared >= columns - 1
 
 
 class TestStoredFlipFixture:

@@ -240,7 +240,8 @@ class TestCompiledFeatures:
     def test_fresh_notes_compile_once_per_distinct_context(self, monkeypatch):
         """Synthetic melodies build a new Note per position.  Notes are
         numbered by value, so the note table holds each distinct note
-        once and features are extracted once per distinct context."""
+        once, and the table holds one row per distinct context, spliced
+        from note and edge names with no call to ``extract_features``."""
         corpus = generate_synthetic(
             SynthProfile(melody_length_range=(8, 16)), 200, seed=2)
         melodies = [melody for melody, _ in corpus]
@@ -260,7 +261,8 @@ class TestCompiledFeatures:
 
         monkeypatch.setattr(tagger, "extract_features", counting)
         vectorizer, table, ids = _compile(melodies)
-        assert len(calls) == len(set(calls)) == len(contexts) == len(table) - 1
+        assert calls == []
+        assert len(contexts) == len(table) - 1
         monkeypatch.undo()
         reference = oracles.reference_vectorizer(melodies)
         assert vectorizer.feature_names == reference.feature_names
@@ -589,18 +591,31 @@ class TestBatchedInference:
         assert infer(zero_model(melody), []) == []
 
     def test_features_extracted_once_per_token(self, monkeypatch):
-        calls = []
+        """One compile per batch, one table row per distinct context and
+        no call to ``extract_features``."""
+        calls, tables = [], []
+        compile_features = tagger._compile
 
         def counting(melody, t):
             calls.append(t)
             return extract_features(melody, t)
 
+        def compiling(*args, **kwargs):
+            compiled = compile_features(*args, **kwargs)
+            tables.append(compiled[1])
+            return compiled
+
         rng = np.random.default_rng(3)
         melodies = [oracles.random_melody(rng, n) for n in (4, 9, 1)]
+        contexts = {feature_context(melody, t)
+                    for melody in melodies for t in range(len(melody))}
+        assert len(contexts) == 14
         model = oracles.random_model(rng, melodies[0], h=3)
         monkeypatch.setattr(tagger, "extract_features", counting)
+        monkeypatch.setattr(tagger, "_compile", compiling)
         infer(model, melodies)
-        assert len(calls) == 14
+        assert calls == []
+        assert [len(table) - 1 for table in tables] == [14]
 
 
 class TestBatchedRecursions:
@@ -921,16 +936,29 @@ class TestTrain:
         assert losses == ref_losses
 
     def test_features_extracted_once_per_token(self, monkeypatch):
-        calls = []
+        """One compile per run, one table row per distinct context and
+        no call to ``extract_features``."""
+        calls, tables = [], []
+        compile_features = tagger._compile
 
         def counting(melody, t):
             calls.append(t)
             return extract_features(melody, t)
 
+        def compiling(*args, **kwargs):
+            compiled = compile_features(*args, **kwargs)
+            tables.append(compiled[1])
+            return compiled
+
         monkeypatch.setattr(tagger, "extract_features", counting)
+        monkeypatch.setattr(tagger, "_compile", compiling)
         corpus = tiny_corpus(n_entries=8)
+        contexts = {feature_context(melody, t)
+                    for melody, _ in corpus for t in range(len(melody))}
+        assert len(contexts) == corpus.token_count
         train(corpus, TrainConfig(epochs=3, batch_size=3))
-        assert len(calls) == corpus.token_count
+        assert calls == []
+        assert [len(table) - 1 for table in tables] == [corpus.token_count]
 
     def test_training_meta_records_run(self):
         corpus = tiny_corpus()
