@@ -7,32 +7,34 @@ argmax, smallest tag index first among ties: the rule pass reweights
 positions, it does not re-run sequence decoding.
 
 :func:`tag_corpus` (and ``ornatag eval``) runs a batch of melodies over
-its padded grid: marginals, ``p1`` from every firing of the batch, the
-product and the argmax are B x T x H arrays.  The float product is
-taken where every partial product of a cell is a normal float, which
-one sum of the weights' ``frexp`` exponents bounds; there it equals
-the per-melody :func:`combine` and :func:`decode` bit for bit.  A
-melody with a cell outside that bound is redone in mantissa-exponent
-pairs, which have float rounding and no range limit: each cell's
-factors in firing order, then ``p2``'s, and a decode by exponent, then
-mantissa, a zero cell lowest and ties to the smallest index.  Its
-``TagResult.p1`` and ``.combined`` saturate into float range: ``inf``
-above it; below the normal range ``p1`` reads the smallest subnormal
-(it stays strictly positive) and ``combined`` reads 0.
+one padded grid, the CRF's: the rules fire on it, and marginals, ``p1``
+from the batch's table of firings (a rule index and an anchor cell
+each), the product and the argmax are B x T x H arrays.  The float
+product is taken where every partial product of a cell is a normal
+float, which one sum of the weights' ``frexp`` exponents bounds; there
+it equals the per-melody :func:`combine` and :func:`decode` bit for
+bit.  A melody with a cell outside that bound is redone in
+mantissa-exponent pairs, which have float rounding and no range limit:
+each cell's factors in firing order, then ``p2``'s, and a decode by
+exponent, then mantissa, a zero cell lowest and ties to the smallest
+index.  Its ``TagResult.p1`` and ``.combined`` saturate into float
+range: ``inf`` above it; below the normal range ``p1`` reads the
+smallest subnormal (it stays strictly positive) and ``combined`` reads 0.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .rules import Firing, Firings, RuleSet, WeightMatrix, fire_batch
+from .rules import (Firing, Firings, RuleSet, WeightMatrix, _firings,
+                    _per_rule, fire_batch)
 from .score import Melody, StateSequence, TagMatrix, TagSet, number_notes
-from .tagger import PredictionMatrix, TaggerModel, _batches, _infer_grid
+from .tagger import (PredictionMatrix, TaggerModel, _batches, _infer_grid,
+                     _pad)
 
 # a cell whose weights' frexp exponents e sum, as max(e, 1 - e), to at
 # most this keeps every partial product of p1 in [2**-1021, 2**1021]
@@ -87,8 +89,8 @@ class _Tagged(NamedTuple):
     """A batch tagged over its grid, padded longest first: entry i is
     row ``rows[i]``, of length ``lengths[rows[i]]``.  ``base`` and
     ``final`` are B x T tags; ``p2``, ``p1`` and ``combined`` B x T x H,
-    1 in padding cells.  ``cells`` holds the flat B x T x H cell of every
-    firing of the batch, in firing order."""
+    1 in padding cells.  ``rule`` and ``cell`` are :func:`fire_batch`'s
+    table on this grid, and ``per_rule`` the rules' arrays."""
 
     rows: list[int]
     lengths: np.ndarray
@@ -97,8 +99,9 @@ class _Tagged(NamedTuple):
     p1: np.ndarray
     combined: np.ndarray
     final: np.ndarray
-    firings: list[Firings]
-    cells: np.ndarray
+    per_rule: tuple[np.ndarray, ...]
+    rule: np.ndarray
+    cell: np.ndarray
 
     def tags(self) -> np.ndarray:
         """The final tags of every position, entry by entry."""
@@ -108,8 +111,9 @@ class _Tagged(NamedTuple):
 
     def satisfied(self) -> np.ndarray:
         """For each firing, whether its target got its consequent tag."""
-        position, tag = np.divmod(self.cells, self.p1.shape[2])
-        return self.final.reshape(-1)[position] == tag
+        _, tag, offset, _ = self.per_rule
+        return (self.final.reshape(-1)[self.cell + offset[self.rule]]
+                == tag[self.rule])
 
 
 def _saturated(mantissa: np.ndarray, exponent: np.ndarray,
@@ -122,9 +126,9 @@ def _saturated(mantissa: np.ndarray, exponent: np.ndarray,
     return values
 
 
-def _redo_exact(tagged: _Tagged, redo: np.ndarray) -> None:
+def _redo_exact(tagged: _Tagged, redo: np.ndarray, cells: np.ndarray) -> None:
     """Fusion of the rows ``redo`` in mantissa-exponent pairs, written
-    over their ``p1``, ``combined`` and ``final``.
+    over their ``p1``, ``combined`` and ``final``; ``cells`` are flat.
 
     Round k multiplies each cell by its k-th factor in firing order, so
     no cell takes two factors in one vector multiply, and renormalizes
@@ -135,10 +139,10 @@ def _redo_exact(tagged: _Tagged, redo: np.ndarray) -> None:
     B, T, H = tagged.p1.shape
     at = np.zeros(B, dtype=int)
     at[sub] = np.arange(len(sub))
-    row, cell = np.divmod(tagged.cells, T * H)
+    row, cell = np.divmod(cells, T * H)
     keep = redo[row]
     cell = at[row[keep]] * T * H + cell[keep]
-    factor, shift = np.frexp(_weights(tagged.firings)[keep])
+    factor, shift = np.frexp(tagged.per_rule[3][tagged.rule[keep]])
     order = np.argsort(cell, kind="stable")
     run = np.flatnonzero(np.diff(cell[order], prepend=-1))  # each cell's first
     rank = np.empty(len(cell), dtype=int)
@@ -164,19 +168,6 @@ def _redo_exact(tagged: _Tagged, redo: np.ndarray) -> None:
     tagged.combined[sub] = _saturated(fused, fused_exponent, 0.0)
 
 
-def _weights(firings: list[Firings]) -> np.ndarray:
-    """Every firing's weight, in firing order; built when needed, as the
-    batch's firing columns are the larger part of its memory."""
-    return np.concatenate([f.weight for f in firings])
-
-
-def _span(weight: np.ndarray) -> np.ndarray:
-    """How far, in binades, each weight can move a product from 1:
-    max(e, 1 - e) for its ``frexp`` exponent e."""
-    shift = np.frexp(weight)[1].astype(np.int64)
-    return np.maximum(shift, 1 - shift)
-
-
 def _tag_batch(model: TaggerModel, rules: RuleSet, batch: list[Melody],
                start: int) -> _Tagged:
     """One batch through inference, firing and fusion, on its grid.
@@ -187,32 +178,31 @@ def _tag_batch(model: TaggerModel, rules: RuleSet, batch: list[Melody],
     melody with a cell out of the float path's range (see the module
     docstring) is redone by :func:`_redo_exact`.
     """
-    numbered = number_notes(batch)
+    notes, ids = numbered = number_notes(batch)
     rows, lengths, base, p2 = _infer_grid(model, batch, start, numbered)
-    firings = fire_batch(rules, numbered, [
-        base[b, :T] for b, T in zip(rows, lengths[rows].tolist())])
+    rule, cell = fire_batch(rules, notes, _pad(ids, -1, rows), base)
+    per_rule = _per_rule(rules)
+    _, tag, offset, weight = per_rule
     B, T, H = p2.shape
-    cells = np.repeat(np.array(rows) * T, [len(f.target) for f in firings])
-    cells += np.concatenate([f.target for f in firings])
-    cells *= H
-    cells += np.concatenate([f.tag_index for f in firings])
+    cells = (cell + offset[rule]) * H + tag[rule]  # of p1, flat
     p1 = np.ones(p2.shape)
     with np.errstate(all="ignore"):  # rows out of range are redone below
-        np.multiply.at(p1.reshape(-1), cells, _weights(firings))
+        np.multiply.at(p1.reshape(-1), cells, weight[rule])
         combined = p1 * p2
     tagged = _Tagged(rows, lengths, base, p2, p1, combined,
-                     combined.argmax(axis=2), firings, cells)
+                     combined.argmax(axis=2), per_rule, rule, cell)
     redo = np.zeros(B, dtype=bool)
-    # a rule fires at most once on a cell
-    if sum(max(e, 1 - e) for e in (math.frexp(rules.effective_weight(r))[1]
-                                   for r in rules)) > _SPAN:
+    # how far, in binades, a rule's weight can move a product from 1
+    shift = np.frexp(weight)[1].astype(np.int64)
+    span = np.maximum(shift, 1 - shift)
+    if span.sum() > _SPAN:  # a rule fires at most once on a cell
         total = np.zeros(B * T * H, dtype=np.int64)
-        np.add.at(total, cells, _span(_weights(firings)))
+        np.add.at(total, cells, span[rule])
         redo |= (total.reshape(B, T * H) > _SPAN).any(axis=1)
     if combined.min() < _TINY:  # a product with 1 or 0 is exact
         redo |= ((combined < _TINY) & (p2 > 0) & (p1 != 1)).any(axis=(1, 2))
     if redo.any():
-        _redo_exact(tagged, redo)
+        _redo_exact(tagged, redo, cells)
     return tagged
 
 
@@ -245,15 +235,19 @@ def tag_corpus(model: TaggerModel, rules: RuleSet,
     raise InputError naming the melody's number in the input.
     """
     for tagged in _tag_batches(model, rules, melodies):
-        for b, T, firings in zip(tagged.rows, tagged.lengths[
-                tagged.rows].tolist(), tagged.firings):
+        width = tagged.final.shape[1]
+        bounds = np.searchsorted(
+            tagged.cell, np.arange(len(tagged.rows) + 1) * width).tolist()
+        for b, T in zip(tagged.rows, tagged.lengths[tagged.rows].tolist()):
+            i, j = bounds[b], bounds[b + 1]
             yield TagResult(
                 final=StateSequence(tuple(tagged.final[b, :T].tolist())),
                 base=StateSequence(tuple(tagged.base[b, :T].tolist())),
                 p1=WeightMatrix(tagged.p1[b, :T].T),
                 p2=PredictionMatrix(tagged.p2[b, :T].T),
                 combined=CombinedMatrix(tagged.combined[b, :T].T),
-                firings=firings)
+                firings=_firings(rules, tagged.per_rule, T, tagged.rule[i:j],
+                                 tagged.cell[i:j] - b * width))
 
 
 def tag_with_knowledge(model: TaggerModel, rules: RuleSet,

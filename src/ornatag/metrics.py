@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ShapeMismatch
 from .rules import Firings, RuleSet, fire
 from .score import Melody, StateSequence, TaggedCorpus, TagSet
 
@@ -80,7 +80,10 @@ def _score(gold: TaggedCorpus, pred: np.ndarray) -> Metrics:
 
 
 def count_satisfied(pred: StateSequence, firings: Firings) -> tuple[int, int]:
-    """(firings whose target got the consequent tag in pred, total firings)."""
+    """(firings whose target got the consequent tag in pred, total
+    firings); ShapeMismatch if pred is not as long as the melody."""
+    if len(pred) != firings.length:
+        raise ShapeMismatch(f"{len(pred)} tags for {firings.length} notes")
     hits = np.array(pred.tags, dtype=int)[firings.target] == firings.tag_index
     return int(np.count_nonzero(hits)), len(hits)
 

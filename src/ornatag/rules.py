@@ -33,14 +33,14 @@ source order, then anchors left to right), so reordering rules changes
 ``p1`` only by floating-point rounding, and not at all when the
 weights are powers of two.
 
-:func:`fire_batch` fires a batch of melodies in one pass over their
-:func:`number_notes` numbering, which ``combine.tag_corpus`` shares
-with its CRF pass.  Each rule is one boolean mask over the padded grid
-of melodies by positions, built and read before the next, so memory
-grows with the cells and the firings, not with rules times cells; each
-note test runs once per distinct note.  Nothing is kept from one call
-to the next.  Firings stay arrays (:class:`Firings`); :class:`Firing`
-records are built on demand.
+:func:`fire_batch` fires a batch of melodies in one pass over the grid
+of their :func:`number_notes` numbering that the caller lays out (the
+CRF's, in ``combine.tag_corpus``).  Each rule is one boolean mask over
+it, built and read before the next, so memory grows with the cells and
+the firings, not with rules times cells; each note test runs once per
+distinct note.  The firings are one table, a rule index and an anchor
+cell each; a melody's arrays (:class:`Firings`) and :class:`Firing`
+records are built from it on demand.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ShapeMismatch
 from .score import (
     Melody,
     Note,
@@ -484,31 +484,44 @@ def _and_shifted(mask: np.ndarray, truth: np.ndarray, offset: int) -> None:
         mask[..., :-k] = False
 
 
-def fire_batch(ruleset: RuleSet, numbered: tuple[list[Note], list[np.ndarray]],
-               bases: Sequence[StateSequence | np.ndarray]) -> list[Firings]:
-    """Each melody's firings: every (rule, anchor) whose antecedent holds
-    and whose target is in range, given its base path (a StateSequence
-    or an array of tag indices).
+def _per_rule(ruleset: RuleSet) -> tuple[np.ndarray, ...]:
+    """Each rule's source line, consequent tag, consequent offset clipped
+    into int64 (a rule fires only where |offset| < T) and effective
+    weight, as four arrays indexed by rule."""
+    line, tag, offset = np.array(
+        [(r.source_line, r.consequent_index,
+          max(-2**62, min(2**62, r.consequent_offset))) for r in ruleset],
+        dtype=int).reshape(-1, 3).T
+    return line, tag, offset, np.array(
+        [ruleset.effective_weight(r) for r in ruleset], dtype=float)
 
-    ``numbered`` is :func:`number_notes` of the melodies, all that is
-    read of them.  Each rule is one mask over the batch's B x T grid,
-    padded past each melody's end and held alone, so memory does not
-    grow with the rule count: the anchors whose target is inside, ANDed
-    with each clause's truth shifted by its offset (false outside the
-    melody).  Note tests run exactly, on Python values, once per distinct
-    note.  Firings go by melody, then rule in source order, then anchor.
+
+def _firings(ruleset: RuleSet, per_rule: tuple[np.ndarray, ...], length: int,
+             rule: np.ndarray, anchor: np.ndarray) -> Firings:
+    """One melody's Firings from its rule indices and anchors."""
+    line, tag, offset, weight = per_rule
+    return Firings(ruleset.tagset, length, line[rule], anchor,
+                   anchor + offset[rule], tag[rule], weight[rule])
+
+
+def fire_batch(ruleset: RuleSet, notes: Sequence[Note], grid: np.ndarray,
+               pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rule, cell) of every firing of a batch: a narrow index into
+    ``ruleset`` and the anchor's flat cell of ``grid``, by row, then rule
+    in source order, then anchor.
+
+    ``grid`` holds each melody's numbers into ``notes`` on a row, rows in
+    any order, and -1 past its end; ``pred``, the base paths on the same
+    rows, must have its shape.  Each rule is one mask over the grid, held
+    alone: the anchors whose target is inside, ANDed with each clause's
+    truth shifted by its offset (false outside the melody).  Note tests
+    run exactly, on Python values, once per distinct note.
     """
-    distinct, ids = numbered
-    if not ids:
-        return []
-    lengths = [len(row) for row in ids]
-    B, T = len(ids), max(lengths)
-    inside = np.arange(T) < np.array(lengths)[:, None]
-    grid = np.full((B, T), -1)  # -1: a note test's all-False last column
-    grid[inside] = np.concatenate(ids)
-    pred = np.zeros((B, T), dtype=int)
-    pred[inside] = np.concatenate(bases)
-    cells = []  # per rule, the flat grid cells of its anchors
+    if pred.shape != grid.shape:
+        raise ShapeMismatch(f"base paths {pred.shape} vs grid {grid.shape}")
+    inside = grid >= 0
+    T = grid.shape[1]
+    cells, counts = [], []  # none empty: headers would grow with the rules
     for rule in ruleset:
         mask = inside.copy()
         _and_shifted(mask, inside, rule.consequent_offset)
@@ -522,34 +535,27 @@ def fire_batch(ruleset: RuleSet, numbered: tuple[list[Note], list[np.ndarray]],
                 attr = _NOTE_ATTRS[clause.feature]
                 truth = np.array(
                     [compare(getattr(note, attr), clause.value)
-                     for note in distinct] + [False], dtype=bool).take(grid)
+                     for note in notes] + [False], dtype=bool).take(grid)
             _and_shifted(mask, truth, clause.offset)
-        cells.append(np.flatnonzero(mask))
-    rule_at = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
-    cells = np.concatenate([np.empty(0, dtype=np.intp), *cells])
-    # a stable sort by melody keeps rule, then anchor order within each
-    melody_at = (cells // T).astype(np.min_scalar_type(B))
-    order = melody_at.argsort(kind="stable")
-    bounds = np.bincount(melody_at, minlength=B).cumsum().tolist()
-    rule_at = rule_at[order]
-    anchor = cells[order] % T
-    del cells, order
-    # offsets clipped into int64: a rule fires only where |offset| < T
-    line, tag, offset = np.array(
-        [(r.source_line, r.consequent_index,
-          max(-2**62, min(2**62, r.consequent_offset))) for r in ruleset],
-        dtype=int).reshape(-1, 3).T
-    weight = np.array([ruleset.effective_weight(r) for r in ruleset])
-    target = anchor + offset[rule_at]
-    line, tag, weight = line[rule_at], tag[rule_at], weight[rule_at]
-    return [Firings(ruleset.tagset, length, line[i:j], anchor[i:j],
-                    target[i:j], tag[i:j], weight[i:j])
-            for length, i, j in zip(lengths, [0, *bounds], bounds)]
+        anchors = np.flatnonzero(mask)
+        counts.append(len(anchors))
+        if len(anchors):
+            cells.append(anchors)
+    rule = np.repeat(np.arange(len(counts), dtype=np.min_scalar_type(
+        len(counts))), counts)
+    cell = np.concatenate([np.empty(0, dtype=np.intp), *cells])
+    # a stable sort by row keeps rule, then anchor order within each
+    order = (cell // T).astype(np.min_scalar_type(len(grid))).argsort(
+        kind="stable")
+    return rule[order], cell[order]
 
 
 def fire(ruleset: RuleSet, melody: Melody, base: StateSequence) -> Firings:
-    """:func:`fire_batch` on one melody."""
-    return fire_batch(ruleset, number_notes([melody]), [base])[0]
+    """:func:`fire_batch` on one melody, a one-row grid."""
+    notes, ids = number_notes([melody])
+    rule, anchor = fire_batch(ruleset, notes, np.array(ids),
+                              np.array([base.tags], dtype=int))
+    return _firings(ruleset, _per_rule(ruleset), len(melody), rule, anchor)
 
 
 def collect_firings(ruleset: RuleSet, melody: Melody,

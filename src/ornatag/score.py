@@ -173,9 +173,6 @@ class StateSequence:
     def __getitem__(self, t: int) -> int:
         return self.tags[t]
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array(self.tags, dtype=dtype or int)
-
 
 @dataclass(frozen=True)
 class TaggedCorpus:

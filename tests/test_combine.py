@@ -294,8 +294,9 @@ class TestTagCorpus:
 
     def test_notes_numbered_once_per_batch(self, monkeypatch):
         """One numbering per batch serves the CRF and the rules, which
-        fire through the public ``fire_batch`` once per batch, and the
-        firings equal those of ``fire_batch`` on a fresh numbering."""
+        fire through the public ``fire_batch`` once per batch, on the
+        CRF's grid, and the firings equal those of ``fire_batch`` on each
+        melody alone with a fresh numbering."""
         monkeypatch.setattr(tagger_module, "_BATCH_CELLS", 16 * 39)
         model, rules, melodies = self.corpus(35)
         batches = list(tagger_module._batches(melodies))
@@ -305,24 +306,22 @@ class TestTagCorpus:
             numbered.append(len(batch))
             return number_notes(batch)
 
-        def firing(ruleset, numbering, bases):
-            fired_batches.append(len(bases))
-            return fire_batch(ruleset, numbering, bases)
+        def firing(ruleset, notes, grid, pred):
+            fired_batches.append((grid >= 0).sum(axis=1))  # row lengths
+            return fire_batch(ruleset, notes, grid, pred)
 
         for module in (combine_module, tagger_module, rules_module):
             monkeypatch.setattr(module, "number_notes", counting)
         monkeypatch.setattr(combine_module, "fire_batch", firing)
         results = list(tag_corpus(model, rules, melodies))
         assert numbered == [len(batch) for batch in batches]
-        assert fired_batches == [len(batch) for batch in batches]
+        assert [len(rows) for rows in fired_batches] == [
+            len(batch) for batch in batches]
+        assert all(np.all(np.diff(rows) <= 0) for rows in fired_batches)
         monkeypatch.undo()
-        fired = [firings for batch, start in zip(
-            batches, np.cumsum([0] + [len(b) for b in batches]))
-            for firings in fire_batch(
-                rules, number_notes(batch),
-                [result.base for result in results[start:start + len(batch)]])]
         assert [result.firing_log for result in results] == [
-            tuple(firings.records()) for firings in fired]
+            tuple(collect_firings(rules, melody, result.base))
+            for melody, result in zip(melodies, results)]
 
     def test_reads_at_most_one_batch_ahead(self, monkeypatch):
         """The stream is read one melody past the batch being yielded:
@@ -382,12 +381,13 @@ class TestTagCorpusMemory:
     """A ``tag_corpus`` batch holds its marginals, p1 and product, and
     frees the recursions' arrays before it builds them."""
 
-    def test_peak_within_seven_batch_arrays(self):
+    def test_peak_within_six_batch_arrays(self):
         """72 melodies of 256 notes, H = 4, 0.44 firings a B x T x H
-        cell: the peak of tagging the batch stays within 7 B x T x H
-        float arrays.  It reads about 6.5: p2, p1, the product, the
-        paths and tags (3.5) and the firings' five columns (2.2), with
-        each firing's cell; keeping one more B x T x H array fails."""
+        cell: the peak of tagging the batch stays within 6 B x T x H
+        float arrays.  It reads about 4.7: p2, p1 and the product, the
+        paths, note grid and tags, and each firing's rule index, anchor
+        cell and fused cell.  Five 8-byte columns per firing, kept for
+        the whole batch, read about 6.5."""
         rng = np.random.default_rng(7)
         melodies = [oracles.random_melody(rng, 256) for _ in range(72)]
         model = oracles.random_model(rng, melodies[0], h=4)
@@ -401,7 +401,7 @@ class TestTagCorpusMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * 72 * 256 * 4 * 8, peak
+        assert peak <= 6 * 72 * 256 * 4 * 8, peak
 
 
 # weights and default confidences from 1e-300 to 1e300, and a few at the

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from oracles import melody_from_tokens, random_melody, reference_firings
-from ornatag.errors import InputError
+from ornatag.errors import InputError, ShapeMismatch
 from ornatag.rules import (
     FEATURES,
     Clause,
@@ -34,6 +34,7 @@ from ornatag.score import (
     number_notes,
     parse_corpus,
 )
+from ornatag.tagger import _pad
 
 TAGS = TagSet(("none", "trills", "fermata", "mordent"))
 
@@ -692,6 +693,23 @@ class TestCollectFirings:
                 == reference_firings(ruleset, melody, base))
 
 
+class TestBaseLength:
+    """A base path has one tag per note of its melody."""
+
+    @pytest.mark.parametrize("length", [0, 1, 4, 6, 7])
+    def test_base_of_another_length_raises(self, length):
+        """A 1-tag base is not broadcast over the melody, and a longer
+        one is a shape error, not numpy's ValueError."""
+        melody = melody_from_tokens("C5:1 D5:1/2 E5:4 F5:1/2 G5:2".split())
+        ruleset = parse_rules(
+            "IF pred(@t) == trills THEN tag(@t) = none\n", TAGS)
+        base = StateSequence((1,) * length)
+        for build in (fire, collect_firings, build_weight_matrix):
+            with pytest.raises(ShapeMismatch, match=rf"base paths "
+                               rf"\(1, {length}\) vs grid \(1, 5\)"):
+                build(ruleset, melody, base)
+
+
 # near offsets read the padding of a batch's shorter melodies; far ones
 # pass every melody's length
 _FAR_OFFSETS = st.one_of(st.integers(-2, 2), st.integers(-9, 9))
@@ -719,6 +737,31 @@ def far_rule_lines(draw):
     return f"IF {' AND '.join(clauses)} THEN tag({c_ref}) = {tag} WEIGHT 2"
 
 
+def longest_first(melodies, bases):
+    """A batch laid out as the tagger lays it out: notes, note grid and
+    base grid, rows longest first with ties in input order and -1 past
+    each note row's end (1, a tag, past each base row's end); and each
+    melody's row."""
+    notes, ids = number_notes(melodies)
+    order = np.argsort([-len(melody) for melody in melodies], kind="stable")
+    rows = np.argsort(order).tolist()
+    paths = [np.array(base.tags, dtype=int) for base in bases]
+    return notes, _pad(ids, -1, rows), _pad(paths, 1, rows), rows
+
+
+def row_records(ruleset, rule, cell, width, row):
+    """The Firing records of one grid row of ``fire_batch``'s table."""
+    records = []
+    for r, c in zip(rule.tolist(), cell.tolist()):
+        if c // width == row:
+            fired, anchor = ruleset.rules[r], c % width
+            records.append(Firing(
+                fired.source_line, anchor, anchor + fired.consequent_offset,
+                fired.consequent_tag, fired.consequent_index,
+                ruleset.effective_weight(fired)))
+    return records
+
+
 class TestFireBatch:
     """One pass over a padded batch against the per-anchor reference."""
 
@@ -737,28 +780,31 @@ class TestFireBatch:
         ruleset = parse_rules("".join(f"{l}\n" for l in lines), TAGS)
         melodies = [melody for melody, _ in batch]
         bases = [base for _, base in batch]
-        fired = fire_batch(ruleset, number_notes(melodies), bases)
-        assert len(fired) == len(batch)
-        for firings, melody, base in zip(fired, melodies, bases):
-            assert firings.length == len(melody)
-            assert (firings.records()
+        notes, grid, pred, rows = longest_first(melodies, bases)
+        rule, cell = fire_batch(ruleset, notes, grid, pred)
+        assert rule.dtype.itemsize == 1 and len(rule) == len(cell)
+        width = grid.shape[1]
+        assert np.all(np.diff(cell // width) >= 0)  # by row
+        for row, melody, base in zip(rows, melodies, bases):
+            assert (row_records(ruleset, rule, cell, width, row)
                     == reference_firings(ruleset, melody, base))
 
     def test_empty_ruleset_fires_nothing(self):
         melodies = [melody_from_tokens(["C4:1"] * n) for n in (3, 1, 5)]
         bases = [StateSequence((0,) * len(m)) for m in melodies]
-        fired = fire_batch(RuleSet(TAGS, ()), number_notes(melodies),
-                           bases)
-        assert [(f.length, f.records()) for f in fired] == [
-            (3, []), (1, []), (5, [])]
+        notes, grid, pred, _ = longest_first(melodies, bases)
+        rule, cell = fire_batch(RuleSet(TAGS, ()), notes, grid, pred)
+        assert len(rule) == len(cell) == 0
 
     @pytest.mark.parametrize("line", [
         "IF duration(@t) > 3 THEN tag(@t) = trills",
         "IF pred(@t-1) == trills AND position(@t) > 1 THEN tag(@t) = none",
     ])
     def test_empty_batch_fires_nothing(self, line):
-        assert fire_batch(parse_rules(line + "\n", TAGS),
-                          number_notes([]), []) == []
+        empty = np.zeros((0, 0), dtype=int)
+        rule, cell = fire_batch(parse_rules(line + "\n", TAGS), [], empty,
+                                empty)
+        assert len(rule) == len(cell) == 0
 
 
 class TestFireBatchMemory:
@@ -772,29 +818,29 @@ class TestFireBatchMemory:
         "IF pred(@t) == trills AND step(@t) != C AND step(@t) == C "
         "THEN tag(@t-1) = mordent\n", TAGS).rules
 
-    def peak(self, numbered, bases, copies):
+    def peak(self, batch, copies):
         ruleset = RuleSet(TAGS, self.NEVER * copies)
         tracemalloc.start()
         try:
-            fired = fire_batch(ruleset, numbered, bases)
+            rule, _ = fire_batch(ruleset, *batch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not any(firings.records() for firings in fired)
+        assert len(rule) == 0
         return peak
 
     def test_peak_does_not_grow_with_rule_count(self):
         """A batch shaped like the benchmark's: 72 melodies of 80 to 160
         notes.  2,000 rules that never fire peak at most 4x as high as 12
-        (about 2.3x); a rules x cells mask stack peaks near 60x."""
+        (about 1.3x); a rules x cells mask stack peaks near 60x."""
         rng = np.random.default_rng(5)
         melodies = [random_melody(rng, int(n))
                     for n in rng.integers(80, 161, 72)]
         bases = [StateSequence(tuple(rng.integers(0, 4, len(m)).tolist()))
                  for m in melodies]
-        numbered = number_notes(melodies)
-        few = self.peak(numbered, bases, 3)
-        many = self.peak(numbered, bases, 500)
+        batch = longest_first(melodies, bases)[:3]
+        few = self.peak(batch, 3)
+        many = self.peak(batch, 500)
         assert many <= 4 * few, (few, many)
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import melody_from_tokens
 from ornatag.combine import tag_with_knowledge
-from ornatag.errors import InputError
+from ornatag.errors import InputError, ShapeMismatch
 from ornatag.metrics import (
     count_satisfied,
     evaluate,
@@ -402,6 +402,16 @@ class TestRuleSatisfaction:
             StateSequence((0, 0)), melody, rules, base) == (1, 1)
         assert rule_firing_counts(
             StateSequence((1, 0)), melody, rules, base) == (0, 1)
+
+    @pytest.mark.parametrize("length", [0, 3, 5])
+    def test_prediction_of_another_length_raises(self, length):
+        """A prediction shorter or longer than the melody is a shape
+        error, not an IndexError or counts over the wrong positions."""
+        melody = melody_from_tokens(["C4:4", "D4:4", "E4:4", "F4:4"])
+        with pytest.raises(ShapeMismatch,
+                           match=f"{length} tags for 4 notes"):
+            rule_firing_counts(StateSequence((1,) * length), melody,
+                               self.rule, StateSequence((0, 0, 0, 0)))
 
     def test_firing_log_counts_match_a_fresh_firing_pass(self):
         rng = np.random.default_rng(3)
